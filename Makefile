@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: ci vet build test race faultsmoke servesmoke loadsmoke crashsmoke arenasmoke clustersmoke fuzz bench benchsmoke benchjson bench5 bench6 bench7 bench8 bench9 bench10
+.PHONY: ci vet build test race faultsmoke servesmoke loadsmoke crashsmoke arenasmoke clustersmoke fuzz bench benchsmoke benchjson benchmod
 
 ## ci: the full verification gate — vet, build, unit tests, race detector,
 ## the fault-injection matrix, the admission-server smoke, an open-loop
 ## load-generator smoke, the durability crash-recovery smoke, the policy
-## arena smoke, a short fuzz smoke of the partition invariants, and a
+## arena smoke, a short fuzz smoke of the partition invariants, a
 ## one-iteration benchmark smoke (catches benchmarks whose setup asserts
-## fail).
-ci: vet build test race faultsmoke servesmoke loadsmoke crashsmoke arenasmoke clustersmoke fuzz benchsmoke
+## fail), and the benchmark module's own vet and tests.
+ci: vet build test race faultsmoke servesmoke loadsmoke crashsmoke arenasmoke clustersmoke fuzz benchsmoke benchmod
 
 vet:
 	$(GO) vet ./...
@@ -78,8 +78,15 @@ fuzz:
 	$(GO) test ./internal/partition -run Fuzz -fuzz=FuzzPartitionInvariants -fuzztime=10s
 	$(GO) test ./internal/rational -run Fuzz -fuzz=FuzzArithmetic -fuzztime=5s
 
+## bench: record the engine, WAL, arena and cluster benchmark suites to
+## the next results/BENCH_<n+1>.json, gated against the newest recorded
+## results/BENCH_<n>.json — the gate fails if any recorded benchmark
+## slows by more than 25%; new benchmarks pass through as additions.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem .
+	@last=$$(ls results/BENCH_*.json | sed 's/[^0-9]//g' | sort -n | tail -1); \
+	$(GO) run ./cmd/benchjson -pkg "./internal/online ./internal/oplog ./internal/arena ./internal/cluster" \
+		-benchtime 0.3s -baseline results/BENCH_$$last.json -max-regress 0.25 \
+		-o results/BENCH_$$((last + 1)).json
 
 ## benchsmoke: run every benchmark exactly once — cheap assurance that
 ## benchmark setup assertions (acceptance, miss-free instances) hold.
@@ -91,66 +98,8 @@ benchsmoke:
 benchjson:
 	$(GO) run ./cmd/benchjson -benchtime 0.3s -o results/BENCH_1.json
 
-## bench5: record the online-engine benchmarks (incremental admit vs full
-## re-solve, repartition planning) to results/BENCH_5.json.
-bench5:
-	$(GO) run ./cmd/benchjson -pkg ./internal/online -benchtime 0.3s \
-		-note 'online engine: incremental admit vs full re-solve (m=64, n=1000)' \
-		-o results/BENCH_5.json
-
-## bench6: record the checkpointed-replay + batch-admission benchmarks to
-## results/BENCH_6.json, gated against the BENCH_5 baseline — the gate
-## only fails on regressions (tail admit must not get slower); the ~10x
-## interior improvement and the new batch benchmark pass through.
-bench6:
-	$(GO) run ./cmd/benchjson -pkg ./internal/online -benchtime 0.3s \
-		-note 'checkpointed suffix replay + batch admission (m=64, n=1000)' \
-		-baseline results/BENCH_5.json -max-regress 0.25 \
-		-o results/BENCH_6.json
-
-## bench7: record the tiered constrained-deadline admission benchmarks to
-## results/BENCH_7.json, gated against the BENCH_6 baseline — the gate
-## fails if any implicit-path benchmark regresses; the new
-## BenchmarkOnlineAdmitDBF tiered/exact variants (with their
-## cheap-tier-rate export) pass through as additions.
-bench7:
-	$(GO) run ./cmd/benchjson -pkg ./internal/online -benchtime 0.3s \
-		-note 'tiered DBF admission: tiered (k=8) vs exact-only (k=0), constrained deadlines (m=64, n=1000)' \
-		-baseline results/BENCH_6.json -max-regress 0.25 \
-		-o results/BENCH_7.json
-
-## bench8: record the durability benchmarks (WAL append throughput,
-## snapshotless cold-open recovery) alongside the online-engine suite to
-## results/BENCH_8.json, gated against the BENCH_7 baseline — the gate
-## fails if any engine benchmark regresses (durability is opt-in and must
-## cost nothing when off); the new BenchmarkWALAppend / BenchmarkRecovery
-## entries pass through as additions.
-bench8:
-	$(GO) run ./cmd/benchjson -pkg "./internal/online ./internal/oplog ./internal/service" -benchtime 0.3s \
-		-note 'durable sessions: WAL append modes, crash recovery; engine suite unchanged' \
-		-baseline results/BENCH_7.json -max-regress 0.25 \
-		-o results/BENCH_8.json
-
-## bench9: record the policy-arena benchmarks (per-tick lane cost by
-## policy) alongside the online-engine suite to results/BENCH_9.json,
-## gated against the BENCH_8 baseline — the gate fails if any engine
-## benchmark regresses (the Policy interface must not tax the tail admit
-## path); the new BenchmarkArenaTick entries pass through as additions.
-bench9:
-	$(GO) run ./cmd/benchjson -pkg "./internal/online ./internal/arena" -benchtime 0.3s \
-		-note 'policy arena: pluggable placement policies; engine suite unchanged' \
-		-baseline results/BENCH_8.json -max-regress 0.25 \
-		-o results/BENCH_9.json
-
-## bench10: record the cluster benchmarks (coordinator-forwarded admit
-## vs direct, one full epoch-fenced session migration) alongside the
-## online-engine suite to results/BENCH_10.json, gated against the
-## BENCH_9 baseline — the gate fails if any engine benchmark regresses
-## (clustering is a separate layer and must not tax the engine); the new
-## BenchmarkDirectAdmit / BenchmarkForwardedAdmit /
-## BenchmarkSessionMigration entries pass through as additions.
-bench10:
-	$(GO) run ./cmd/benchjson -pkg "./internal/online ./internal/cluster" -benchtime 0.3s \
-		-note 'sharded cluster: forwarded vs direct admit, epoch-fenced migration; engine suite unchanged' \
-		-baseline results/BENCH_9.json -max-regress 0.25 \
-		-o results/BENCH_10.json
+## benchmod: vet and test the benchmark module (bench/, its own go.mod).
+## Root builds never compile it, so this is what catches a public-API
+## change that would break the repository benchmark.
+benchmod:
+	cd bench && $(GO) vet ./... && $(GO) test ./...

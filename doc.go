@@ -39,10 +39,7 @@
 // Instances are validated eagerly at every entry point: NewPlatform
 // accepts any speeds by design, so a NaN, zero, or infinite speed is
 // rejected here with the offending machine index named, before any
-// solver is built. Test and MinAlpha are the context-free conveniences;
-// the four pre-redesign Simulate variants (Simulate, SimulateOpts,
-// SimulateTraced, SimulateTracedOpts) survive as deprecated wrappers
-// over SimulateCtx and remain decision-identical.
+// solver is built. Test and MinAlpha are the context-free conveniences.
 //
 // Repeated queries on one instance — bisections, sensitivity sweeps,
 // admission-control loops — should use a Tester, which precomputes the

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -96,7 +97,9 @@ func main() {
 		fmt.Println()
 	}
 
-	sim, err := partfeas.Simulate(tasks, platform, rep.Partition.Assignment, partfeas.PolicyEDF, 1, 0)
+	in := partfeas.Instance{Tasks: tasks, Platform: platform, Scheduler: partfeas.EDF}
+	sim, _, err := partfeas.SimulateCtx(context.Background(), in,
+		partfeas.SimulateOptions{Assignment: rep.Partition.Assignment, Alpha: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -71,7 +72,9 @@ func main() {
 
 	// Validate the accepted partition end to end: replay one hyperperiod
 	// of synchronous periodic releases in the exact simulator.
-	sim, err := partfeas.Simulate(tasks, platform, report.Partition.Assignment, partfeas.PolicyEDF, 1.0, 0)
+	in := partfeas.Instance{Tasks: tasks, Platform: platform, Scheduler: partfeas.EDF}
+	sim, _, err := partfeas.SimulateCtx(context.Background(), in,
+		partfeas.SimulateOptions{Assignment: report.Partition.Assignment, Alpha: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -54,16 +54,6 @@ func (in Instance) Policy() Policy {
 	return PolicyEDF
 }
 
-// schedulerForPolicy maps a simulation policy back to the scheduler whose
-// admission test pairs with it; the deprecated Simulate wrappers use it
-// to build the Instance the unified path expects.
-func schedulerForPolicy(pol Policy) Scheduler {
-	if pol == PolicyRM {
-		return RMS
-	}
-	return EDF
-}
-
 // TestCtx runs the paper's first-fit feasibility test for the instance at
 // speed augmentation alpha, observing ctx: a cancelled or expired context
 // yields a PipelineError wrapping the cause. One test is a single
@@ -120,21 +110,14 @@ type SimulateOptions struct {
 	// Gantt rendering and audits); SimulateCtx returns nil traces when
 	// false.
 	Trace bool
-
-	// Ctx is ignored by SimulateCtx (the context is its first parameter).
-	//
-	// Deprecated: retained only so pre-redesign option literals passed to
-	// the deprecated SimulateOpts/SimulateTracedOpts wrappers — which do
-	// honor it — still compile.
-	Ctx context.Context
 }
 
 // SimulateCtx replays a partitioned schedule of the instance in the exact
 // rational-arithmetic discrete-event simulator, under the policy matching
 // the instance's scheduler (EDF → PolicyEDF, RMS → PolicyRM). It is the
-// single simulation entry point the four deprecated Simulate variants
-// collapse into: arrival model, worker count, horizon and tracing all
-// live in opts, and cancellation flows through ctx with bounded latency
+// library's one simulation entry point: arrival model, worker count,
+// horizon and tracing all live in opts, and cancellation flows through
+// ctx with bounded latency
 // (an interrupted replay returns a PipelineError naming the first machine
 // that observed it). Traces are non-nil only when opts.Trace is set.
 func SimulateCtx(ctx context.Context, in Instance, opts SimulateOptions) (SimulationResult, []*Trace, error) {

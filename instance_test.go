@@ -101,63 +101,6 @@ func TestCtxEntryPointsMatchLegacy(t *testing.T) {
 	}
 }
 
-func TestSimulateCtxMatchesDeprecatedVariants(t *testing.T) {
-	ts, p := demoInstance()
-	rep, err := Test(ts, p, EDF, 1)
-	if err != nil || !rep.Accepted {
-		t.Fatal("demo must be accepted")
-	}
-	asg := append([]int(nil), rep.Partition.Assignment...)
-	ctx := context.Background()
-	in := Instance{Tasks: ts, Platform: p, Scheduler: EDF}
-
-	legacy, err := Simulate(ts, p, asg, PolicyEDF, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, traces, err := SimulateCtx(ctx, in, SimulateOptions{Assignment: asg, Alpha: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if traces != nil {
-		t.Error("untraced run returned traces")
-	}
-	if !reflect.DeepEqual(legacy, got) {
-		t.Errorf("SimulateCtx diverges from Simulate:\n%+v\n%+v", got, legacy)
-	}
-
-	legacyRes, legacyTr, err := SimulateTraced(ts, p, asg, PolicyEDF, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRes, gotTr, err := SimulateCtx(ctx, in, SimulateOptions{Assignment: asg, Alpha: 1, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacyRes, gotRes) || !reflect.DeepEqual(legacyTr, gotTr) {
-		t.Error("traced SimulateCtx diverges from SimulateTraced")
-	}
-
-	// RMS maps to PolicyRM.
-	repRMS, err := Test(ts, p, RMS, 2)
-	if err != nil || !repRMS.Accepted {
-		t.Fatal("RMS at α=2 must accept the demo")
-	}
-	asgRMS := append([]int(nil), repRMS.Partition.Assignment...)
-	legacyRMS, err := Simulate(ts, p, asgRMS, PolicyRM, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRMS, _, err := SimulateCtx(ctx, Instance{Tasks: ts, Platform: p, Scheduler: RMS},
-		SimulateOptions{Assignment: asgRMS, Alpha: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacyRMS, gotRMS) {
-		t.Error("RMS SimulateCtx diverges from Simulate(PolicyRM)")
-	}
-}
-
 func TestCtxEntryPointsObserveCancellation(t *testing.T) {
 	ts, p := demoInstance()
 	in := Instance{Tasks: ts, Platform: p, Scheduler: EDF}

@@ -410,7 +410,7 @@ func (c *Coordinator) Rebalance(ctx context.Context) (int, error) {
 // migrate asks the replica holding id to hand it to target.
 func (c *Coordinator) migrate(ctx context.Context, holder, id, target string) error {
 	var resp service.MigrateResponse
-	return c.postJSON(ctx, holder, "/v1/sessions/"+id+"/migrate", service.MigrateRequest{Target: target}, &resp)
+	return service.PostJSON(ctx, c.client, holder, "/v1/sessions/"+id+"/migrate", service.MigrateRequest{Target: target}, &resp, 1<<20)
 }
 
 func (c *Coordinator) fetchIndex(ctx context.Context, replica string) (*service.SessionIndex, error) {
@@ -431,35 +431,6 @@ func (c *Coordinator) fetchIndex(ctx context.Context, replica string) (*service.
 		return nil, err
 	}
 	return &idx, nil
-}
-
-func (c *Coordinator) postJSON(ctx context.Context, base, path string, body, out any) error {
-	b, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, strings.TrimRight(base, "/")+path, bytes.NewReader(b))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	res, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer res.Body.Close()
-	data, _ := io.ReadAll(io.LimitReader(res.Body, 1<<20))
-	if res.StatusCode/100 != 2 {
-		msg := strings.TrimSpace(string(data))
-		if len(msg) > 256 {
-			msg = msg[:256]
-		}
-		return fmt.Errorf("%s%s: %s: %s", base, path, res.Status, msg)
-	}
-	if out != nil {
-		return json.Unmarshal(data, out)
-	}
-	return nil
 }
 
 // ---- health ----

@@ -37,7 +37,8 @@ func (m BatchMode) String() string {
 
 // AdmitBatch offers several tasks at once. Admitted tasks receive
 // consecutive ids in input order starting at the pre-call Len(); the
-// returned slice reports each input task's verdict. In SortedOrder the
+// returned slice reports each input task's verdict. Under the ordered
+// policy the
 // batch is merged into the placement order and placed by a single
 // suffix replay — one checkpoint restore and one pass regardless of how
 // many insertions the batch scatters across the order — and the
@@ -153,7 +154,7 @@ func (e *Engine) admitBatch(ts []task.Task, dls []int64, mode BatchMode) (res pa
 
 // admitBatchSequential admits the batch one task at a time. For
 // AllOrNothing a failure undoes the already-admitted prefix (only
-// reachable in ArrivalOrder, where removal always succeeds).
+// reachable under local policies, where removal always succeeds).
 func (e *Engine) admitBatchSequential(ts []task.Task, dls []int64, mode BatchMode) (partition.Result, []bool, error) {
 	admitted := make([]bool, len(ts))
 	nAdmitted := 0

@@ -54,6 +54,13 @@ var benchProbes = []struct {
 	{"interior", task.Task{WCET: 7, Period: 100}},
 }
 
+// benchOrders are the two first-fit policies the implicit benchmarks
+// compare, under their historical sub-benchmark names.
+var benchOrders = []struct {
+	name string
+	pol  Policy
+}{{"sorted", FirstFitSorted()}, {"arrival", FirstFitArrival()}}
+
 // BenchmarkOnlineAdmit measures one incremental admit+remove round trip
 // on a live engine — the operation pair a session performs for a
 // rejected-then-rolled-back or probed mutation, and the engine-backed
@@ -62,13 +69,13 @@ var benchProbes = []struct {
 // BenchmarkFullResolveAdmit.
 func BenchmarkOnlineAdmit(b *testing.B) {
 	ts, p := benchInstance()
-	for _, ord := range []Order{SortedOrder, ArrivalOrder} {
+	for _, ord := range benchOrders {
 		for _, probe := range benchProbes {
-			if ord == ArrivalOrder && probe.name == "interior" {
+			if !ord.pol.Ordered() && probe.name == "interior" {
 				continue // arrival placement is position-independent
 			}
-			b.Run(ord.String()+"/"+probe.name, func(b *testing.B) {
-				e, err := New(ts, p, partition.EDFAdmission{}, 1, ord)
+			b.Run(ord.name+"/"+probe.name, func(b *testing.B) {
+				e, err := NewEngine(ts, p, Options{Policy: ord.pol, Admission: partition.EDFAdmission{}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -103,7 +110,7 @@ func BenchmarkOnlineAdmitBatch(b *testing.B) {
 		// so the batch scatters over many distinct interior positions.
 		bt[i] = task.Task{WCET: 7, Period: int64(140 + 5*i)}
 	}
-	e, err := New(ts, p, partition.EDFAdmission{}, 1, SortedOrder)
+	e, err := NewEngine(ts, p, Options{Admission: partition.EDFAdmission{}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -168,7 +175,7 @@ func BenchmarkFullResolveAdmit(b *testing.B) {
 // fresh sorted solve plus the diff) at the acceptance-criteria scale.
 func BenchmarkRepartitionPlan(b *testing.B) {
 	ts, p := benchInstance()
-	e, err := New(ts, p, partition.EDFAdmission{}, 1, ArrivalOrder)
+	e, err := NewEngine(ts, p, Options{Policy: FirstFitArrival(), Admission: partition.EDFAdmission{}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -250,9 +257,10 @@ var benchDBFProbes = []struct {
 // prove — because the k=0 construction alone runs a full exact solve.
 func BenchmarkOnlineAdmitDBF(b *testing.B) {
 	cs, p := benchConstrainedInstance()
+	ts, dls := splitConstrained(cs)
 	engines := map[int]*Engine{}
 	for _, k := range []int{8, 0} {
-		e, err := NewConstrained(cs, p, 1, SortedOrder, k)
+		e, err := NewEngine(ts, p, Options{Deadlines: dls, ApproxK: k})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -298,8 +306,9 @@ func BenchmarkOnlineAdmitDBF(b *testing.B) {
 // instance honest at both pipeline depths.
 func TestBenchConstrainedInstanceFeasible(t *testing.T) {
 	cs, p := benchConstrainedInstance()
+	ts, dls := splitConstrained(cs)
 	for _, k := range []int{0, 8} {
-		if _, err := NewConstrained(cs, p, 1, SortedOrder, k); err != nil {
+		if _, err := NewEngine(ts, p, Options{Deadlines: dls, ApproxK: k}); err != nil {
 			t.Fatal(fmt.Errorf("k=%d: %w", k, err))
 		}
 	}
@@ -309,9 +318,9 @@ func TestBenchConstrainedInstanceFeasible(t *testing.T) {
 // be feasible in both modes so the loops above cannot silently no-op.
 func TestBenchInstanceFeasible(t *testing.T) {
 	ts, p := benchInstance()
-	for _, ord := range []Order{SortedOrder, ArrivalOrder} {
-		if _, err := New(ts, p, partition.EDFAdmission{}, 1, ord); err != nil {
-			t.Fatal(fmt.Errorf("%v: %w", ord, err))
+	for _, ord := range benchOrders {
+		if _, err := NewEngine(ts, p, Options{Policy: ord.pol, Admission: partition.EDFAdmission{}}); err != nil {
+			t.Fatal(fmt.Errorf("%s: %w", ord.name, err))
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"partfeas/internal/dbf"
 	"partfeas/internal/machine"
 	"partfeas/internal/partition"
+	"partfeas/internal/task"
 )
 
 // The differential generators keep every utilization and speed on the
@@ -77,7 +78,7 @@ func checkOp(t *testing.T, ctx string, res partition.Result, ok bool, opErr erro
 
 // TestEngineDBFSortedDifferential is the tentpole's acceptance test:
 // over randomized Admit/Remove/UpdateWCET/AdmitBatch sequences on
-// constrained-deadline sets, every SortedOrder engine verdict and
+// constrained-deadline sets, every sorted-policy engine verdict and
 // assignment must be identical to a fresh dbf.FirstFit (exact-admission)
 // solve over the surviving multiset — no matter which tier answered.
 // k = 0 runs the exact-only pipeline; the tiered depths must agree with
@@ -97,7 +98,8 @@ func TestEngineDBFSortedDifferential(t *testing.T) {
 				p := randDyadicPlatform(rng)
 				alpha := []float64{1, 1, 1.5, 2.5}[rng.Intn(4)]
 				cur := dbf.Set{{WCET: 1, Deadline: 64, Period: 64}}
-				e, err := NewConstrained(cur, p, alpha, SortedOrder, k)
+				seedTS, seedDls := splitConstrained(cur)
+				e, err := NewEngine(seedTS, p, Options{Alpha: alpha, Deadlines: seedDls, ApproxK: k})
 				if err != nil {
 					t.Fatalf("inst %d: seed engine: %v", inst, err)
 				}
@@ -223,8 +225,7 @@ func TestEngineDBFSortedDifferential(t *testing.T) {
 func TestEngineDBFTierCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	p := machine.New(1, 1, 1, 1)
-	seed := dbf.Set{{WCET: 1, Deadline: 1 << 18, Period: 1 << 18}}
-	e, err := NewConstrained(seed, p, 1, SortedOrder, 4)
+	e, err := NewEngine(task.Set{{WCET: 1, Period: 1 << 18}}, p, Options{Deadlines: []int64{1 << 18}, ApproxK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,14 +253,13 @@ func TestEngineDBFTierCounts(t *testing.T) {
 	}
 }
 
-// TestEngineDBFArrivalSmoke exercises the ArrivalOrder constrained
+// TestEngineDBFArrivalSmoke exercises the first-fit-arrival constrained
 // engine: local admits, removals and updates with SelfCheck after every
 // mutation (there is no offline reference for arrival order).
 func TestEngineDBFArrivalSmoke(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := machine.New(0.5, 1, 2)
-	cur := dbf.Set{{WCET: 1, Deadline: 64, Period: 64}}
-	e, err := NewConstrained(cur, p, 1, ArrivalOrder, 4)
+	e, err := NewEngine(task.Set{{WCET: 1, Period: 64}}, p, Options{Policy: FirstFitArrival(), Deadlines: []int64{64}, ApproxK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,15 +308,16 @@ func TestEngineDBFHorizonError(t *testing.T) {
 	if _, _, err := dbf.FirstFit(ts, plat, 1, 0); !errors.Is(err, dbf.ErrHorizonTooLarge) {
 		t.Fatalf("fresh FirstFit err = %v, want ErrHorizonTooLarge", err)
 	}
+	tts, dls := splitConstrained(ts)
 	for _, k := range []int{0, 4} {
-		if _, err := NewConstrained(ts, plat, 1, SortedOrder, k); !errors.Is(err, dbf.ErrHorizonTooLarge) {
-			t.Fatalf("k=%d: NewConstrained err = %v, want ErrHorizonTooLarge", k, err)
+		if _, err := NewEngine(tts, plat, Options{Deadlines: dls, ApproxK: k}); !errors.Is(err, dbf.ErrHorizonTooLarge) {
+			t.Fatalf("k=%d: NewEngine err = %v, want ErrHorizonTooLarge", k, err)
 		}
 	}
 
 	// The same candidate offered to a live engine must reject with the
 	// same typed error and leave the engine untouched.
-	e, err := NewConstrained(dbf.Set{t1}, plat, 1, SortedOrder, 4)
+	e, err := NewEngine(tts[:1], plat, Options{Deadlines: dls[:1], ApproxK: 4})
 	if err != nil {
 		t.Fatalf("single-task engine: %v", err)
 	}
@@ -336,8 +337,8 @@ func TestEngineDBFHorizonError(t *testing.T) {
 // UpdateWCET's C ≤ D rule.
 func TestEngineDBFValidation(t *testing.T) {
 	p := machine.New(1, 1)
-	seed := dbf.Set{{WCET: 1, Deadline: 100, Period: 100}}
-	e, err := NewConstrained(seed, p, 1, SortedOrder, 4)
+	seed, seedDls := task.Set{{WCET: 1, Period: 100}}, []int64{100}
+	e, err := NewEngine(seed, p, Options{Deadlines: seedDls, ApproxK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,10 +357,75 @@ func TestEngineDBFValidation(t *testing.T) {
 	if _, err := e.PlanRepartition(); err == nil {
 		t.Fatal("PlanRepartition on a constrained engine succeeded")
 	}
-	if _, err := NewConstrained(seed, p, 1, SortedOrder, maxApproxK+10); err != nil {
+	if _, err := NewEngine(seed, p, Options{Deadlines: seedDls, ApproxK: maxApproxK + 10}); err != nil {
 		t.Fatalf("oversized k must clamp, not fail: %v", err)
 	}
-	if _, err := NewConstrained(dbf.Set{}, p, 1, SortedOrder, 4); err == nil {
+	if _, err := NewEngine(task.Set{}, p, Options{Deadlines: []int64{}, ApproxK: 4}); err == nil {
 		t.Fatal("empty constrained set accepted")
+	}
+}
+
+// TestImplicitEngineForwardsConstrainedCalls: on an implicit-deadline
+// engine, AdmitConstrained and AdmitBatchConstrained take implicit tasks
+// (D = P) exactly as Admit and AdmitBatch do — verdicts, witnesses and
+// state — without the constrained period cap, and refuse any other
+// deadline.
+func TestImplicitEngineForwardsConstrainedCalls(t *testing.T) {
+	implicit := func(tk task.Task) dbf.Task {
+		return dbf.Task{Name: tk.Name, WCET: tk.WCET, Deadline: tk.Period, Period: tk.Period}
+	}
+	rng := rand.New(rand.NewSource(59))
+	for _, adm := range testAdmissions {
+		for _, pol := range []Policy{FirstFitSorted(), BestFit()} {
+			p := randPlatform(rng)
+			opts := Options{Policy: pol, Admission: adm}
+			seed := task.Set{{WCET: 1, Period: 1 << 20}}
+			got, err := NewEngine(seed, p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := NewEngine(seed, p, opts)
+			for op := 0; op < 80; op++ {
+				if op%4 == 3 {
+					batch := []task.Task{randTask(rng), randTask(rng), randTask(rng)}
+					cs := dbf.Set{implicit(batch[0]), implicit(batch[1]), implicit(batch[2])}
+					mode := BatchMode(op / 4 % 2)
+					resG, okG, errG := got.AdmitBatchConstrained(cs, mode)
+					resW, okW, errW := want.AdmitBatch(batch, mode)
+					if errG != nil || errW != nil || !reflect.DeepEqual(okG, okW) || !reflect.DeepEqual(resG, resW) {
+						t.Fatalf("%s/%s op %d: batch diverged: %v %v / %v %v", adm.Name(), pol.Name(), op, okG, errG, okW, errW)
+					}
+				} else {
+					tk := randTask(rng)
+					resG, okG, errG := got.AdmitConstrained(implicit(tk))
+					resW, okW, errW := want.Admit(tk)
+					if errG != nil || errW != nil || okG != okW || !reflect.DeepEqual(resG, resW) {
+						t.Fatalf("%s/%s op %d: admit diverged: %v %v / %v %v", adm.Name(), pol.Name(), op, okG, errG, okW, errW)
+					}
+				}
+				sameEngineState(t, adm.Name()+"/"+pol.Name(), got, want)
+			}
+		}
+	}
+
+	e, err := NewEngine(task.Set{{WCET: 1, Period: 4}}, machine.New(1), Options{Admission: partition.EDFAdmission{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := task.Task{WCET: 1, Period: maxConstrainedPeriod + 1}
+	if _, ok, err := e.AdmitConstrained(implicit(long)); err != nil || !ok {
+		t.Fatalf("implicit task above the constrained period cap: admitted=%v err=%v", ok, err)
+	}
+	if _, _, err := e.AdmitBatchConstrained(dbf.Set{implicit(long)}, BestEffort); err != nil {
+		t.Fatalf("implicit batch above the constrained period cap: %v", err)
+	}
+	if _, _, err := e.AdmitConstrained(dbf.Task{WCET: 1, Deadline: 2, Period: 8}); err == nil {
+		t.Fatal("implicit engine admitted a constrained deadline")
+	}
+	if _, _, err := e.AdmitBatchConstrained(dbf.Set{{WCET: 1, Deadline: 2, Period: 8}}, BestEffort); err == nil {
+		t.Fatal("implicit engine admitted a constrained batch")
+	}
+	if e.Len() != 3 {
+		t.Fatalf("engine holds %d tasks, want 3", e.Len())
 	}
 }

@@ -1,8 +1,9 @@
 package online
 
 // Constrained-deadline (DBF) admission for the online engine: the tiered
-// pipeline of ISSUE 7. Engines of kind admDBF are built by NewConstrained
-// and admit through a three-stage probe per machine:
+// pipeline. Engines of kind admDBF are built by NewEngine with
+// Options.Deadlines set and admit through a three-stage probe per
+// machine:
 //
 //	tier 1 (density):   O(1) against the machine's cached folds — the
 //	                    utilization pre-check rejects bitwise-identically
@@ -40,7 +41,6 @@ import (
 	"sort"
 
 	"partfeas/internal/dbf"
-	"partfeas/internal/machine"
 	"partfeas/internal/partition"
 	"partfeas/internal/task"
 )
@@ -85,47 +85,33 @@ func validateConstrained(t dbf.Task) error {
 	return nil
 }
 
-// NewConstrained builds an engine for a constrained-deadline task set
-// with tiered DBF admission at augmentation alpha (0 means 1). k is the
-// approximate tier's linearization depth (dbf.ApproxDBF's k, clamped to
-// 64); k ≤ 0 disables the cheap tiers and the envelope entirely, so
-// every probe runs the exact test — the baseline the benchmarks compare
-// the tiers against. In SortedOrder every mutation leaves the engine
-// byte-identical to a fresh dbf.FirstFit(ts, p, alpha, k ≤ 0) solve over
-// the surviving multiset, regardless of which tiers answered.
-//
-// Deprecated: use NewEngine with Options{Policy, Alpha, Deadlines,
-// ApproxK}; this wrapper maps the Order enum onto the equivalent
-// first-fit policies and is equivalent bit-for-bit.
-func NewConstrained(ts dbf.Set, p machine.Platform, alpha float64, ord Order, k int) (*Engine, error) {
-	pol, err := policyForOrder(ord)
-	if err != nil {
-		return nil, err
-	}
-	tts, dls := splitConstrained(ts)
-	return NewEngine(tts, p, Options{Policy: pol, Alpha: alpha, Deadlines: dls, ApproxK: k})
-}
-
 // AdmitConstrained offers one constrained-deadline task. On an
-// implicit-deadline engine the task must itself be implicit (D = P) and
-// is forwarded to Admit.
+// implicit-deadline engine an implicit task (D = P) is forwarded to
+// Admit — before the constrained checks, so it meets exactly Admit's
+// validation — and any other deadline is refused.
 func (e *Engine) AdmitConstrained(t dbf.Task) (res partition.Result, admitted bool, err error) {
+	tt := task.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
+	if e.kind != admDBF && t.Deadline == t.Period {
+		return e.Admit(tt)
+	}
 	if verr := validateConstrained(t); verr != nil {
 		return partition.Result{}, false, fmt.Errorf("online: %w", verr)
 	}
-	tt := task.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
 	if e.kind != admDBF {
-		if t.Deadline != t.Period {
-			return partition.Result{}, false, fmt.Errorf("online: implicit-deadline engine cannot admit constrained deadline %d < period %d", t.Deadline, t.Period)
-		}
-		return e.Admit(tt)
+		return partition.Result{}, false, fmt.Errorf("online: implicit-deadline engine cannot admit constrained deadline %d < period %d", t.Deadline, t.Period)
 	}
 	return e.admitOne(tt, t.Deadline)
 }
 
 // AdmitBatchConstrained is AdmitBatch for constrained-deadline tasks;
-// the batch shares one merged replay exactly like the implicit path.
+// the batch shares one merged replay exactly like the implicit path. On
+// an implicit-deadline engine a batch of implicit tasks (every D = P) is
+// forwarded to AdmitBatch, like AdmitConstrained forwards to Admit.
 func (e *Engine) AdmitBatchConstrained(ts dbf.Set, mode BatchMode) (partition.Result, []bool, error) {
+	tts, dls := splitConstrained(ts)
+	if e.kind != admDBF && implicitDeadlines(ts) {
+		return e.AdmitBatch(tts, mode)
+	}
 	switch mode {
 	case BestEffort, AllOrNothing:
 	default:
@@ -134,16 +120,34 @@ func (e *Engine) AdmitBatchConstrained(ts dbf.Set, mode BatchMode) (partition.Re
 	if e.kind != admDBF {
 		return partition.Result{}, nil, fmt.Errorf("online: constrained batch admission needs a constrained-deadline engine")
 	}
-	tts := make([]task.Task, len(ts))
-	dls := make([]int64, len(ts))
 	for i, t := range ts {
 		if err := validateConstrained(t); err != nil {
 			return partition.Result{}, nil, fmt.Errorf("online: batch task %d: %w", i, err)
 		}
+	}
+	return e.admitBatch(tts, dls, mode)
+}
+
+// splitConstrained decomposes a dbf.Set into the implicit task set and
+// the parallel deadline slice.
+func splitConstrained(ts dbf.Set) (task.Set, []int64) {
+	tts := make(task.Set, len(ts))
+	dls := make([]int64, len(ts))
+	for i, t := range ts {
 		tts[i] = task.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
 		dls[i] = t.Deadline
 	}
-	return e.admitBatch(tts, dls, mode)
+	return tts, dls
+}
+
+// implicitDeadlines reports whether every task's deadline is its period.
+func implicitDeadlines(ts dbf.Set) bool {
+	for _, t := range ts {
+		if t.Deadline != t.Period {
+			return false
+		}
+	}
+	return true
 }
 
 // ApproxK reports the tiered pipeline's linearization depth (≤ 0 means

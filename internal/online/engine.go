@@ -61,35 +61,8 @@ import (
 	"partfeas/internal/task"
 )
 
-// Order selects the sequence tasks are offered to first-fit in.
-//
-// Deprecated: orders generalized to placement policies. SortedOrder is
-// FirstFitSorted() and ArrivalOrder is FirstFitArrival(), bit-for-bit;
-// the Order-taking constructors remain as thin wrappers over NewEngine.
-type Order int
-
-const (
-	// SortedOrder is the paper's utilization-descending order; the
-	// engine's state is always byte-identical to a fresh sorted solve.
-	SortedOrder Order = iota
-	// ArrivalOrder places tasks in admission order and never moves
-	// earlier tasks, trading the paper's guarantee for O(m) mutations.
-	ArrivalOrder
-)
-
-func (o Order) String() string {
-	switch o {
-	case SortedOrder:
-		return "sorted"
-	case ArrivalOrder:
-		return "arrival"
-	default:
-		return fmt.Sprintf("Order(%d)", int(o))
-	}
-}
-
-// ErrInfeasible is returned by New when the initial task set does not
-// partition at the requested augmentation: an engine only represents
+// ErrInfeasible is returned by NewEngine when the initial task set does
+// not partition at the requested augmentation: an engine only represents
 // feasible states.
 var ErrInfeasible = errors.New("online: initial task set infeasible at this augmentation")
 
@@ -102,7 +75,7 @@ const (
 	admLL
 	admHyperbolic
 	// admDBF is the constrained-deadline tiered pipeline (dbfstate.go);
-	// engines of this kind are built by NewConstrained, not New.
+	// NewEngine builds engines of this kind when Options.Deadlines is set.
 	admDBF
 )
 
@@ -284,7 +257,7 @@ type Engine struct {
 	// kept in sync with dirtyTheta and cleared lazily at the next begin.
 	thetaPos []float64
 
-	cps      *checkpoints // prefix-state checkpoints (SortedOrder only)
+	cps      *checkpoints // prefix-state checkpoints (ordered policy only)
 	machPool []mach       // retired state triples (see arena.go)
 	batchIDs []int32      // AdmitBatch scratch
 
@@ -316,36 +289,10 @@ type Engine struct {
 	probeErr error   // first exact-test error of the in-flight mutation
 }
 
-// New builds an engine for the task set, platform and admission test at
-// augmentation alpha (0 means 1). Only the solver's incremental
-// admissions are supported (EDF, RMS Liu–Layland, RMS hyperbolic); any
-// other AdmissionTest is rejected. The inputs are copied. If the initial
-// set does not partition, New returns ErrInfeasible: engines represent
-// feasible states only.
-//
-// Deprecated: use NewEngine with Options{Policy, Admission, Alpha};
-// this wrapper maps SortedOrder to FirstFitSorted and ArrivalOrder to
-// FirstFitArrival and is equivalent bit-for-bit.
-func New(ts task.Set, p machine.Platform, adm partition.AdmissionTest, alpha float64, ord Order) (*Engine, error) {
-	pol, err := policyForOrder(ord)
-	if err != nil {
-		return nil, err
-	}
-	return NewEngine(ts, p, Options{Policy: pol, Admission: adm, Alpha: alpha})
-}
-
-// initCommon finishes construction once the kind-specific per-task state
-// (tasks, utils and, for admDBF, dl/dens) is populated: machine order,
-// placement order, state buffers and the initial first-fit placement.
-func (e *Engine) initCommon() error {
-	e.initState()
-	return e.initPlacement()
-}
-
 // initState builds everything that does not depend on where tasks end
 // up: machine scan order, placement order, and the empty state buffers.
-// Restore (restore.go) calls it and then folds recorded placed lists
-// instead of running the first-fit pass.
+// NewEngine then runs the initial placement pass, or folds recorded
+// placed lists instead (restorePlacement).
 func (e *Engine) initState() {
 	n, m := len(e.tasks), len(e.p)
 	e.speeds = make([]float64, m)
@@ -1410,7 +1357,7 @@ func (e *Engine) removeInner(id int) (res partition.Result, ok bool, err error) 
 		e.rollback()
 		return res, false, nil
 	}
-	e.commit(k) // before compact; see the ArrivalOrder branch
+	e.commit(k) // before compact; see the local-policy branch
 	e.compact(id)
 	return e.Result(), true, nil
 }
@@ -1524,8 +1471,8 @@ func (e *Engine) updateWCETInner(id int, wcet int64) (res partition.Result, ok b
 }
 
 // splice removes task id from machine j's fold locally, journaling j and
-// re-closing the cumulative folds over the surviving tasks (ArrivalOrder
-// only; sorted-order removals go through the replay).
+// re-closing the cumulative folds over the surviving tasks (local
+// policies only; sorted-order removals go through the replay).
 func (e *Engine) splice(j int, id int32) {
 	mc := &e.machs[j]
 	e.jMachs = append(e.jMachs, machSnap{j: j, mc: *mc})
@@ -1559,7 +1506,7 @@ func (e *Engine) splice(j int, id int32) {
 	e.treeOK = false
 }
 
-// arrivalFailResult is the rejection witness for a local (ArrivalOrder)
+// arrivalFailResult is the rejection witness for a local-policy
 // mutation: every other task keeps its current machine, the failing task
 // is unplaced, loads are the current folds without it.
 func (e *Engine) arrivalFailResult(failID int) partition.Result {
@@ -1635,17 +1582,6 @@ func (e *Engine) Len() int { return len(e.tasks) }
 // Alpha returns the fixed augmentation every decision is made at.
 func (e *Engine) Alpha() float64 { return e.alpha }
 
-// OrderMode returns the engine's placement order.
-//
-// Deprecated: orders generalized to policies; use PlacementPolicy.
-// Every local policy reports ArrivalOrder.
-func (e *Engine) OrderMode() Order {
-	if e.ordered {
-		return SortedOrder
-	}
-	return ArrivalOrder
-}
-
 // PlacementPolicy returns the engine's placement policy.
 func (e *Engine) PlacementPolicy() Policy { return e.pol }
 
@@ -1655,7 +1591,7 @@ func (e *Engine) Tasks() task.Set { return e.tasks.Clone() }
 // SelfCheck verifies the engine's internal invariants: the placement
 // order is a valid permutation sorted by the order relation, positions
 // invert it, every task sits on exactly one machine matching its
-// assignment, placed lists are position-ordered (SortedOrder), every
+// assignment, placed lists are position-ordered (ordered policy), every
 // cumulative fold re-derives bit-identically, and every machine's final
 // state satisfies its admission bound. It is O(n log n + n·m) and meant
 // for tests and debugging, not the hot path.

@@ -77,7 +77,7 @@ func freshArrival(t *testing.T, ts task.Set, p machine.Platform, adm partition.A
 }
 
 // TestEngineSortedDifferential is the tentpole's acceptance test: over
-// randomized admit/remove/update sequences, every SortedOrder engine
+// randomized admit/remove/update sequences, every sorted-policy engine
 // decision — acceptance, rejection witness, assignment, and per-machine
 // load bits — must be identical to a fresh sorted first-fit Solve(alpha)
 // over the same surviving task multiset. The test mirrors the multiset
@@ -91,7 +91,7 @@ func TestEngineSortedDifferential(t *testing.T) {
 				p := randPlatform(rng)
 				alpha := []float64{1, 1, 1.5, 2.5}[rng.Intn(4)]
 				cur := task.Set{{WCET: 1, Period: 1 << 20}} // near-zero seed task
-				e, err := New(cur, p, adm, alpha, SortedOrder)
+				e, err := NewEngine(cur, p, Options{Admission: adm, Alpha: alpha})
 				if err != nil {
 					t.Fatalf("inst %d: seed engine: %v", inst, err)
 				}
@@ -160,7 +160,7 @@ func TestEngineSortedDifferential(t *testing.T) {
 	}
 }
 
-// TestEngineArrivalAdmitDifferential holds ArrivalOrder pure-admit
+// TestEngineArrivalAdmitDifferential holds first-fit-arrival pure-admit
 // sequences byte-identical to the TasksAsGiven ablation solve: with no
 // removals or updates, placing each arrival against live aggregates is
 // exactly first-fit in input order.
@@ -172,7 +172,7 @@ func TestEngineArrivalAdmitDifferential(t *testing.T) {
 			for inst := 0; inst < 12; inst++ {
 				p := randPlatform(rng)
 				cur := task.Set{{WCET: 1, Period: 1 << 20}}
-				e, err := New(cur, p, adm, 1, ArrivalOrder)
+				e, err := NewEngine(cur, p, Options{Policy: FirstFitArrival(), Admission: adm})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -200,7 +200,7 @@ func TestEngineArrivalAdmitDifferential(t *testing.T) {
 	}
 }
 
-// TestEngineArrivalMixedOps exercises ArrivalOrder under the full
+// TestEngineArrivalMixedOps exercises first-fit-arrival under the full
 // mutation mix. Arrival placements depend on history, so there is no
 // closed-form oracle; the invariants are that every operation keeps the
 // engine self-consistent (bit-exact folds, one machine per task) and
@@ -214,7 +214,7 @@ func TestEngineArrivalMixedOps(t *testing.T) {
 			for inst := 0; inst < 10; inst++ {
 				p := randPlatform(rng)
 				cur := task.Set{{WCET: 1, Period: 1 << 20}}
-				e, err := New(cur, p, adm, 1, ArrivalOrder)
+				e, err := NewEngine(cur, p, Options{Policy: FirstFitArrival(), Admission: adm})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -271,7 +271,7 @@ func requireUnchanged(t *testing.T, e *Engine, before partition.Result, beforeTa
 func TestEngineRejectionWitness(t *testing.T) {
 	p := machine.New(1)
 	cur := task.Set{{WCET: 3, Period: 10}, {WCET: 2, Period: 10}}
-	e, err := New(cur, p, partition.EDFAdmission{}, 1, SortedOrder)
+	e, err := NewEngine(cur, p, Options{Admission: partition.EDFAdmission{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,19 +296,16 @@ func TestEngineRejectionWitness(t *testing.T) {
 func TestEngineInputValidation(t *testing.T) {
 	p := machine.New(1)
 	ts := task.Set{{WCET: 1, Period: 10}}
-	if _, err := New(ts, p, partition.RMSExactAdmission{}, 1, SortedOrder); err == nil {
+	if _, err := NewEngine(ts, p, Options{Admission: partition.RMSExactAdmission{}}); err == nil {
 		t.Fatal("generic admission must be rejected")
 	}
-	if _, err := New(ts, p, partition.EDFAdmission{}, -1, SortedOrder); err == nil {
+	if _, err := NewEngine(ts, p, Options{Admission: partition.EDFAdmission{}, Alpha: -1}); err == nil {
 		t.Fatal("negative alpha must be rejected")
 	}
-	if _, err := New(ts, p, partition.EDFAdmission{}, 1, Order(9)); err == nil {
-		t.Fatal("unknown order must be rejected")
-	}
-	if _, err := New(task.Set{{WCET: 20, Period: 10}}, p, partition.EDFAdmission{}, 1, SortedOrder); err != ErrInfeasible {
+	if _, err := NewEngine(task.Set{{WCET: 20, Period: 10}}, p, Options{Admission: partition.EDFAdmission{}}); err != ErrInfeasible {
 		t.Fatal("infeasible seed must return ErrInfeasible")
 	}
-	e, err := New(ts, p, partition.EDFAdmission{}, 0, SortedOrder)
+	e, err := NewEngine(ts, p, Options{Admission: partition.EDFAdmission{}, Alpha: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

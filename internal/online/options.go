@@ -11,10 +11,10 @@ import (
 	"partfeas/internal/task"
 )
 
-// Options configures NewEngine, collapsing the former constructor
-// sprawl (New / NewConstrained / Restore / RestoreConstrained) into one
-// declarative surface. The zero value is the paper's engine: sorted
-// first-fit, EDF-class admission supplied via Admission, alpha 1.
+// Options configures NewEngine, the engine's one constructor: fresh
+// builds and snapshot restores, implicit and constrained deadlines. The
+// zero value is the paper's engine: sorted first-fit, EDF-class
+// admission supplied via Admission, alpha 1.
 type Options struct {
 	// Policy is the placement policy; nil means FirstFitSorted (the
 	// paper's order, the only policy with the sorted-solve guarantee).
@@ -166,17 +166,4 @@ func NewEngine(ts task.Set, p machine.Platform, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	return e, nil
-}
-
-// policyForOrder maps the deprecated Order enum onto the policies that
-// reproduce it bit-for-bit.
-func policyForOrder(ord Order) (Policy, error) {
-	switch ord {
-	case SortedOrder:
-		return FirstFitSorted(), nil
-	case ArrivalOrder:
-		return FirstFitArrival(), nil
-	default:
-		return nil, fmt.Errorf("online: unknown order %v", ord)
-	}
 }

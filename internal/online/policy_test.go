@@ -78,86 +78,6 @@ func TestPolicyNameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWrapperEquivalence: the deprecated Order-enum constructors are
-// bit-identical to NewEngine with the corresponding first-fit policy,
-// across admissions, orders and randomized mutation sequences.
-func TestWrapperEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, adm := range testAdmissions {
-		for _, ord := range []Order{SortedOrder, ArrivalOrder} {
-			pol := FirstFitSorted()
-			if ord == ArrivalOrder {
-				pol = FirstFitArrival()
-			}
-			for inst := 0; inst < 5; inst++ {
-				p := randPlatform(rng)
-				seed := task.Set{randTask(rng)}
-				old, errOld := New(seed, p, adm, 1, ord)
-				neu, errNew := NewEngine(seed, p, Options{Policy: pol, Admission: adm})
-				if (errOld == nil) != (errNew == nil) {
-					t.Fatalf("%s/%v: construction diverged: %v vs %v", adm.Name(), ord, errOld, errNew)
-				}
-				if errOld != nil {
-					continue
-				}
-				for op := 0; op < 60; op++ {
-					opRng := rand.New(rand.NewSource(int64(inst*1000 + op)))
-					switch opRng.Intn(3) {
-					case 0:
-						tk := randTask(opRng)
-						_, okO, errO := old.Admit(tk)
-						_, okN, errN := neu.Admit(tk)
-						if okO != okN || (errO == nil) != (errN == nil) {
-							t.Fatalf("%s/%v op %d: Admit diverged", adm.Name(), ord, op)
-						}
-					case 1:
-						if old.Len() < 2 {
-							continue
-						}
-						id := opRng.Intn(old.Len())
-						_, okO, _ := old.Remove(id)
-						_, okN, _ := neu.Remove(id)
-						if okO != okN {
-							t.Fatalf("%s/%v op %d: Remove diverged", adm.Name(), ord, op)
-						}
-					default:
-						id := opRng.Intn(old.Len())
-						w := 1 + opRng.Int63n(old.tasks[id].Period)
-						_, okO, _ := old.UpdateWCET(id, w)
-						_, okN, _ := neu.UpdateWCET(id, w)
-						if okO != okN {
-							t.Fatalf("%s/%v op %d: UpdateWCET diverged", adm.Name(), ord, op)
-						}
-					}
-					sameEngineState(t, adm.Name(), neu, old)
-				}
-			}
-		}
-	}
-}
-
-// TestRestoreWrapperEquivalence: Restore == NewEngine{Placed}.
-func TestRestoreWrapperEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	adm := testAdmissions[0]
-	p := randPlatform(rng)
-	e, err := New(task.Set{randTask(rng)}, p, adm, 1, ArrivalOrder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		e.Admit(randTask(rng))
-	}
-	ts, placed := e.Tasks(), e.PlacedLists()
-	old, errOld := Restore(ts, p, adm, 1, ArrivalOrder, placed)
-	neu, errNew := NewEngine(ts, p, Options{Policy: FirstFitArrival(), Admission: adm, Placed: placed})
-	if errOld != nil || errNew != nil {
-		t.Fatalf("restore: %v / %v", errOld, errNew)
-	}
-	sameEngineState(t, "restore", neu, old)
-	sameEngineState(t, "restore vs original", neu, e)
-}
-
 // TestNewEngineValidation: the Options surface rejects malformed input
 // with actionable errors.
 func TestNewEngineValidation(t *testing.T) {

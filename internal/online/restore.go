@@ -1,22 +1,15 @@
 package online
 
-import (
-	"fmt"
-
-	"partfeas/internal/dbf"
-	"partfeas/internal/machine"
-	"partfeas/internal/partition"
-	"partfeas/internal/task"
-)
+import "fmt"
 
 // PlacedLists returns a deep copy of every machine's placed task ids in
 // fold order, indexed by machine input index. Together with Tasks()
-// (which fixes the id space) this captures everything Restore needs to
-// rebuild the engine bit-for-bit: in SortedOrder the lists are
-// redundant (state is a function of the multiset — the engine's core
-// invariant), but in ArrivalOrder they are history: removals splice and
-// WCET updates re-admit at the tail, so the same resident multiset can
-// sit in many placements.
+// (which fixes the id space) this captures everything NewEngine needs
+// (via Options.Placed) to rebuild the engine bit-for-bit: under the
+// ordered policy the lists are redundant (state is a function of the
+// multiset — the engine's core invariant), but under local policies they
+// are history: removals splice and WCET updates re-admit at the tail, so
+// the same resident multiset can sit in many placements.
 func (e *Engine) PlacedLists() [][]int32 {
 	out := make([][]int32, len(e.machs))
 	for j := range e.machs {
@@ -25,70 +18,16 @@ func (e *Engine) PlacedLists() [][]int32 {
 	return out
 }
 
-// Restore rebuilds an implicit-deadline engine from state captured by
-// Tasks() and PlacedLists(). Under the ordered policy it delegates to a
-// fresh build — a fresh sorted solve over the same multiset is
-// byte-identical by the engine invariant, and the differential tests
-// hold it there. Under local policies each machine's recorded list is
-// refolded verbatim, re-checking every placement with the same
+// restorePlacement refolds the recorded per-machine placed lists (local
+// policies only; an ordered engine re-solves, byte-identically by the
+// engine invariant). Every placement is re-checked with the same
 // admission predicate the original run passed: per-machine feasibility
 // of the final state implies feasibility of every fold prefix (loads
-// only grow along the fold and the bounds only tighten), so a
-// legitimate snapshot always verifies, while a corrupted one is
-// rejected instead of resurrected.
-//
-// Deprecated: use NewEngine with Options{Policy, Admission, Alpha,
-// Placed}; this wrapper maps the Order enum onto the equivalent
-// first-fit policies.
-func Restore(ts task.Set, p machine.Platform, adm partition.AdmissionTest, alpha float64, ord Order, placed [][]int32) (*Engine, error) {
-	pol, err := policyForOrder(ord)
-	if err != nil {
-		return nil, err
-	}
-	if placed == nil {
-		// Restore always means "use the recorded lists": a nil record is
-		// a corrupt snapshot and must fail verification, not silently
-		// fall back to a fresh placement.
-		placed = [][]int32{}
-	}
-	return NewEngine(ts, p, Options{Policy: pol, Admission: adm, Alpha: alpha, Placed: placed})
-}
-
-// RestoreConstrained is Restore for constrained-deadline engines built
-// by NewConstrained; k is the same envelope depth the original used.
-//
-// Deprecated: use NewEngine with Options{Policy, Alpha, Deadlines,
-// ApproxK, Placed}.
-func RestoreConstrained(ts dbf.Set, p machine.Platform, alpha float64, ord Order, k int, placed [][]int32) (*Engine, error) {
-	pol, err := policyForOrder(ord)
-	if err != nil {
-		return nil, err
-	}
-	if placed == nil {
-		placed = [][]int32{} // see Restore: nil must fail verification
-	}
-	tts, dls := splitConstrained(ts)
-	return NewEngine(tts, p, Options{Policy: pol, Alpha: alpha, Deadlines: dls, ApproxK: k, Placed: placed})
-}
-
-// splitConstrained decomposes a dbf.Set into the implicit task set and
-// the parallel deadline slice NewEngine's Options take. The deadline
-// slice is non-nil even for an empty set, so the constrained pipeline
-// is always selected.
-func splitConstrained(ts dbf.Set) (task.Set, []int64) {
-	tts := make(task.Set, len(ts))
-	dls := make([]int64, len(ts))
-	for i, t := range ts {
-		tts[i] = task.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
-		dls[i] = t.Deadline
-	}
-	return tts, dls
-}
-
-// restorePlacement refolds the recorded per-machine placed lists. Fold
-// order within a machine is the recorded order; machines are mutually
-// independent (every aggregate is per-machine), so the across-machine
-// order is irrelevant to the resulting floats.
+// only grow along the fold and the bounds only tighten), so a legitimate
+// snapshot always verifies, while a corrupted one is rejected instead of
+// resurrected. Fold order within a machine is the recorded order;
+// machines are mutually independent (every aggregate is per-machine), so
+// the across-machine order is irrelevant to the resulting floats.
 func (e *Engine) restorePlacement(placed [][]int32) error {
 	n, m := len(e.tasks), len(e.p)
 	if len(placed) != m {

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"partfeas/internal/dbf"
 	"partfeas/internal/machine"
 	"partfeas/internal/task"
 )
@@ -81,7 +80,7 @@ func sameEngineState(t *testing.T, ctx string, got, want *Engine) {
 	}
 }
 
-// TestRestoreArrivalDifferential drives an ArrivalOrder engine through
+// TestRestoreArrivalDifferential drives a first-fit-arrival engine through
 // random mixed ops — the history-dependent mode, where splices and
 // tail re-admissions make placement a function of the whole op sequence
 // — and periodically rebuilds it from Tasks() + PlacedLists(). The
@@ -94,7 +93,7 @@ func TestRestoreArrivalDifferential(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(adm.Name())) * 977))
 			for inst := 0; inst < 6; inst++ {
 				p := randPlatform(rng)
-				e, err := New(task.Set{{WCET: 1, Period: 1 << 20}}, p, adm, 1, ArrivalOrder)
+				e, err := NewEngine(task.Set{{WCET: 1, Period: 1 << 20}}, p, Options{Policy: FirstFitArrival(), Admission: adm})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,7 +116,7 @@ func TestRestoreArrivalDifferential(t *testing.T) {
 					if op%20 != 19 {
 						continue
 					}
-					r, err := Restore(e.Tasks(), p, adm, 1, ArrivalOrder, e.PlacedLists())
+					r, err := NewEngine(e.Tasks(), p, Options{Policy: FirstFitArrival(), Admission: adm, Placed: e.PlacedLists()})
 					if err != nil {
 						t.Fatalf("inst %d op %d: Restore: %v", inst, op, err)
 					}
@@ -138,16 +137,17 @@ func TestRestoreArrivalDifferential(t *testing.T) {
 	}
 }
 
-// TestRestoreSortedMatchesLive confirms the SortedOrder delegate: after
+// TestRestoreSortedMatchesLive confirms the sorted-policy restore: after
 // arbitrary committed mutations the live engine equals a fresh solve
-// over its multiset, so Restore (which defers to New) reproduces it.
+// over its multiset, so a restore (which ignores Placed and re-solves)
+// reproduces it.
 func TestRestoreSortedMatchesLive(t *testing.T) {
 	for _, adm := range testAdmissions {
 		adm := adm
 		t.Run(adm.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(adm.Name())) * 1409))
 			p := randPlatform(rng)
-			e, err := New(task.Set{{WCET: 1, Period: 1 << 20}}, p, adm, 1, SortedOrder)
+			e, err := NewEngine(task.Set{{WCET: 1, Period: 1 << 20}}, p, Options{Admission: adm})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +168,7 @@ func TestRestoreSortedMatchesLive(t *testing.T) {
 					}
 				}
 			}
-			r, err := Restore(e.Tasks(), p, adm, 1, SortedOrder, e.PlacedLists())
+			r, err := NewEngine(e.Tasks(), p, Options{Admission: adm, Placed: e.PlacedLists()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,13 +177,13 @@ func TestRestoreSortedMatchesLive(t *testing.T) {
 	}
 }
 
-// TestRestoreConstrainedArrival is the ArrivalOrder differential for
+// TestRestoreConstrainedArrival is the first-fit-arrival differential for
 // the constrained-deadline (tiered DBF) engine.
 func TestRestoreConstrainedArrival(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for inst := 0; inst < 4; inst++ {
 		p := randDyadicPlatform(rng)
-		e, err := NewConstrained(dbf.Set{{WCET: 1, Deadline: 64, Period: 64}}, p, 1, ArrivalOrder, 4)
+		e, err := NewEngine(task.Set{{WCET: 1, Period: 64}}, p, Options{Policy: FirstFitArrival(), Deadlines: []int64{64}, ApproxK: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,9 +206,10 @@ func TestRestoreConstrainedArrival(t *testing.T) {
 			if op%30 != 29 {
 				continue
 			}
-			r, err := RestoreConstrained(e.ConstrainedTasks(), p, 1, ArrivalOrder, e.ApproxK(), e.PlacedLists())
+			ts, dls := splitConstrained(e.ConstrainedTasks())
+			r, err := NewEngine(ts, p, Options{Policy: FirstFitArrival(), Deadlines: dls, ApproxK: e.ApproxK(), Placed: e.PlacedLists()})
 			if err != nil {
-				t.Fatalf("inst %d op %d: RestoreConstrained: %v", inst, op, err)
+				t.Fatalf("inst %d op %d: restore: %v", inst, op, err)
 			}
 			sameEngineState(t, "restore", r, e)
 			if err := r.SelfCheck(); err != nil {
@@ -242,16 +243,16 @@ func TestRestoreRejectsInconsistentPlacement(t *testing.T) {
 		{"task missing", [][]int32{{0}, {}}},
 		{"id out of range", [][]int32{{0}, {7}}},
 		{"machine count mismatch", [][]int32{{0, 1}}},
-		{"nil lists", nil},
+		{"empty record", [][]int32{}},
 	}
 	for _, tc := range cases {
-		if _, err := Restore(ts, p, adm, 1, ArrivalOrder, tc.placed); err == nil {
-			t.Errorf("%s: Restore accepted inconsistent placement", tc.name)
+		if _, err := NewEngine(ts, p, Options{Policy: FirstFitArrival(), Admission: adm, Placed: tc.placed}); err == nil {
+			t.Errorf("%s: restore accepted inconsistent placement", tc.name)
 		}
 	}
 
 	// The legitimate split restores fine.
-	if _, err := Restore(ts, p, adm, 1, ArrivalOrder, [][]int32{{0}, {1}}); err != nil {
+	if _, err := NewEngine(ts, p, Options{Policy: FirstFitArrival(), Admission: adm, Placed: [][]int32{{0}, {1}}}); err != nil {
 		t.Errorf("valid placement rejected: %v", err)
 	}
 }

@@ -1,26 +1,27 @@
 package service
 
 // Constrained-deadline sessions: the service face of the online engine's
-// tiered DBF admission (ISSUE 7). A session created with deadline_model
-// "constrained" carries a relative deadline D ≤ P per task and answers
-// every admission through online.NewConstrained's pipeline — density
-// pre-filter, approximate demand band, exact processor-demand test —
-// with verdicts identical to a fresh exact constrained first-fit solve.
+// tiered DBF admission. A session created with deadline_model
+// "constrained" carries a relative deadline D ≤ P per task, held by the
+// engine (online.Options.Deadlines), and answers every admission through
+// its pipeline — density pre-filter, approximate demand band, exact
+// processor-demand test — with verdicts identical to a fresh exact
+// constrained first-fit solve. The op paths are the implicit sessions'
+// own: the engine's constrained entry points take implicit tasks as the
+// D = P case.
 //
 // Constrained sessions are engine-only. The batch-tester fallback that
-// lets implicit sessions hold force-committed infeasible sets has no
-// constrained counterpart, so force commits are refused, sessions cannot
-// be created infeasible, and a removal the engine refuses stays resident
-// (rolled back) instead of disarming the engine.
+// lets implicit sessions hold force-committed infeasible sets
+// (resolveLocked) has no constrained counterpart, so force commits are
+// refused, sessions cannot be created infeasible, and a removal the
+// engine refuses stays resident (rolled back) instead of disarming the
+// engine.
 
 import (
-	"errors"
-	"fmt"
 	"net/http"
 
 	"partfeas"
 	"partfeas/internal/dbf"
-	"partfeas/internal/online"
 	"partfeas/internal/partition"
 )
 
@@ -61,33 +62,21 @@ func (s *session) checkDeadlineArg(dl, period int64, force bool) error {
 	return nil
 }
 
-// deadlineOf resolves a wire deadline (0 = implicit) to the stored one.
-func (s *session) deadlineOf(t partfeas.Task, dl int64) int64 {
+// constrainedTask builds the engine-facing task for one admission: a
+// wire deadline of 0 means implicit (D = P), the form every session,
+// implicit or constrained, hands the engine.
+func constrainedTask(t partfeas.Task, dl int64) dbf.Task {
 	if dl == 0 {
-		return t.Period
+		dl = t.Period
 	}
-	return dl
-}
-
-// constrainedTask builds the engine-facing task for one admission.
-func (s *session) constrainedTask(t partfeas.Task, dl int64) dbf.Task {
-	return dbf.Task{Name: t.Name, WCET: t.WCET, Deadline: s.deadlineOf(t, dl), Period: t.Period}
-}
-
-// constrainedSet materializes the resident multiset with its deadlines.
-func (s *session) constrainedSet() dbf.Set {
-	cs := make(dbf.Set, len(s.in.Tasks))
-	for i, t := range s.in.Tasks {
-		cs[i] = dbf.Task{Name: t.Name, WCET: t.WCET, Deadline: s.dls[i], Period: t.Period}
-	}
-	return cs
+	return dbf.Task{Name: t.Name, WCET: t.WCET, Deadline: dl, Period: t.Period}
 }
 
 // freshConstrainedReport runs a fresh exact constrained first-fit solve
 // over the resident set at an ad-hoc alpha (the session engine's state
 // is only valid at the session alpha). Caller holds s.mu.
 func (s *session) freshConstrainedReport(alpha float64) (partfeas.Report, error) {
-	feasible, assignment, err := dbf.FirstFit(s.constrainedSet(), s.in.Platform, alpha, 0)
+	feasible, assignment, err := dbf.FirstFit(s.eng.ConstrainedTasks(), s.in.Platform, alpha, 0)
 	if err != nil {
 		return partfeas.Report{}, &httpError{code: http.StatusUnprocessableEntity, msg: err.Error()}
 	}
@@ -111,54 +100,4 @@ func (s *session) freshConstrainedReport(alpha float64) (partfeas.Report, error)
 		Alpha:     alpha,
 		Partition: res,
 	}, nil
-}
-
-// createConstrained opens a constrained-deadline session. Unlike the
-// implicit path there is no infeasible fallback: a set the tiered
-// pipeline cannot place at the session alpha fails creation, and a
-// typed analysis error (horizon or demand overflow) is surfaced rather
-// than downgraded to a verdict.
-func (st *sessionStore) createConstrained(in partfeas.Instance, dls []int64, alpha float64, placement online.Policy, id string) (*session, error) {
-	defer st.dur.rlock()()
-	if in.Scheduler != partfeas.EDF {
-		return nil, &httpError{code: http.StatusBadRequest, msg: "constrained-deadline sessions require the EDF scheduler"}
-	}
-	eng, err := online.NewEngine(in.Tasks, in.Platform, online.Options{
-		Policy: placement, Alpha: alpha, Deadlines: dls, ApproxK: sessionApproxK,
-	})
-	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, online.ErrInfeasible) {
-			code = http.StatusConflict
-		}
-		return nil, &httpError{code: code, msg: fmt.Sprintf("constrained session: %v", err)}
-	}
-	s := &session{
-		in: partfeas.Instance{
-			Tasks:     in.Tasks.Clone(),
-			Platform:  in.Platform.Clone(),
-			Scheduler: in.Scheduler,
-		},
-		alpha:       alpha,
-		placement:   placement,
-		constrained: true,
-		dls:         append([]int64(nil), dls...),
-		eng:         eng,
-		epoch:       1,
-		mx:          st.mx,
-		dur:         st.dur,
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if err := st.assignID(s, id); err != nil {
-		return nil, err
-	}
-	if err := st.dur.logOp(createOp(s, s.dls)); err != nil {
-		if id == "" {
-			st.seq--
-		}
-		return nil, err
-	}
-	st.m[s.id] = s
-	return s, nil
 }

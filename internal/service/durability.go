@@ -404,19 +404,14 @@ func (d *durability) applyCreate(op *oplog.Op) error {
 	}
 	// The recorded id is replayed explicitly, so coordinator-assigned and
 	// store-assigned ids alike reconstruct byte-identically.
-	if op.DeadlineModel == "constrained" {
-		_, err = d.st.createConstrained(in, dls, op.Alpha, placement, op.Session)
-	} else {
-		_, err = d.st.create(in, op.Alpha, placement, op.Session)
-	}
-	if err != nil {
+	if _, err := d.st.create(in, dls, op.Alpha, placement, op.Session); err != nil {
 		return fmt.Errorf("op %d: replay create: %w", op.Index, err)
 	}
 	return nil
 }
 
-// instanceFromOp rebuilds a create op's instance, deadlines and
-// placement policy.
+// instanceFromOp rebuilds a create op's instance, deadlines (nil for an
+// implicit-deadline session) and placement policy.
 func instanceFromOp(op *oplog.Op) (partfeas.Instance, []int64, online.Policy, error) {
 	var in partfeas.Instance
 	sched, err := parseScheduler(op.Scheduler)
@@ -429,10 +424,15 @@ func instanceFromOp(op *oplog.Op) (partfeas.Instance, []int64, online.Policy, er
 		return in, nil, nil, err
 	}
 	in.Tasks = make(partfeas.TaskSet, len(op.Tasks))
-	dls := make([]int64, len(op.Tasks))
+	var dls []int64
+	if op.DeadlineModel == "constrained" {
+		dls = make([]int64, len(op.Tasks))
+	}
 	for i, t := range op.Tasks {
 		in.Tasks[i] = partfeas.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
-		dls[i] = t.Deadline
+		if dls != nil {
+			dls[i] = t.Deadline
+		}
 	}
 	in.Platform = make(partfeas.Platform, len(op.Machines))
 	for i, m := range op.Machines {
@@ -520,7 +520,7 @@ func snapOf(s *session) sessionSnap {
 	for i, t := range s.in.Tasks {
 		ss.Tasks[i] = oplog.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
 		if s.constrained {
-			ss.Tasks[i].Deadline = s.dls[i]
+			ss.Tasks[i].Deadline = s.eng.Deadline(i)
 		}
 	}
 	for i, m := range s.in.Platform {
@@ -569,9 +569,10 @@ func (d *durability) encodeStore() ([]byte, error) {
 }
 
 // restoreStore rebuilds the session store from a snapshot payload.
-// Engines are restored through online.Restore/RestoreConstrained, which
-// re-verify every recorded placement with the engine's own admission
-// predicate — a tampered snapshot is rejected, not resurrected.
+// Engines are restored through online.NewEngine with Options.Placed,
+// which re-verifies every recorded placement with the engine's own
+// admission predicate — a tampered snapshot is rejected, not
+// resurrected.
 func (d *durability) restoreStore(payload []byte) error {
 	var snap storeSnap
 	if err := json.Unmarshal(payload, &snap); err != nil {
@@ -635,35 +636,27 @@ func (st *sessionStore) restoreSession(ss *sessionSnap) (*session, error) {
 	for i, m := range ss.Machines {
 		s.in.Platform[i] = partfeas.Machine{Name: m.Name, Speed: m.Speed}
 	}
+	var dls []int64
 	if ss.Constrained {
-		if !ss.Engine {
+		dls = make([]int64, len(ss.Tasks))
+		for i, t := range ss.Tasks {
+			dls[i] = t.Deadline
+		}
+	}
+	if !ss.Engine {
+		if ss.Constrained {
 			return nil, fmt.Errorf("constrained session snapshotted without an engine")
 		}
-		s.dls = make([]int64, len(ss.Tasks))
-		for i, t := range ss.Tasks {
-			s.dls[i] = t.Deadline
-		}
-		eng, err := online.NewEngine(s.in.Tasks, s.in.Platform, online.Options{
-			Policy: placement, Alpha: ss.Alpha, Deadlines: s.dls,
-			ApproxK: sessionApproxK, Placed: snapPlaced(ss.Placed),
-		})
+		// Force-infeasible resident set: the batch path serves it.
+		s.tester, err = partfeas.NewTester(s.in.Tasks, s.in.Platform, s.in.Scheduler)
 		if err != nil {
 			return nil, err
 		}
-		s.eng = eng
 		return s, nil
 	}
-	if !ss.Engine {
-		return s, nil // batch path; the tester is rebuilt lazily
-	}
-	adm, err := sched.Admission()
-	if err != nil {
-		return nil, err
-	}
-	eng, err := online.NewEngine(s.in.Tasks, s.in.Platform, online.Options{
-		Policy: placement, Admission: adm, Alpha: ss.Alpha,
-		Placed: snapPlaced(ss.Placed), RepartCnt: ss.RepartCnt,
-	})
+	opts := s.engineOptions(dls)
+	opts.Placed, opts.RepartCnt = snapPlaced(ss.Placed), ss.RepartCnt
+	eng, err := online.NewEngine(s.in.Tasks, s.in.Platform, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -309,12 +309,11 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) (an
 	// consistent-hash ring routes by id, so the id must exist before the
 	// session does. Direct clients normally omit it and get "s-<n>".
 	id := r.Header.Get("X-Session-ID")
-	var sess *session
+	var dls []int64
 	if constrained {
-		sess, err = s.sessions.createConstrained(in, req.Deadlines(), req.Alpha, placement, id)
-	} else {
-		sess, err = s.sessions.create(in, req.Alpha, placement, id)
+		dls = req.Deadlines()
 	}
+	sess, err := s.sessions.create(in, dls, req.Alpha, placement, id)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -296,7 +296,7 @@ func (s *Server) migrateTo(ctx context.Context, id, target string) (*MigrateResp
 		return nil, &httpError{code: http.StatusBadGateway, msg: fmt.Sprintf("migration snapshot send: %v", p.Err)}
 	}
 	var prep migratePrepareResponse
-	if err := s.postPeer(ctx, target, migratePreparePath, &migratePrepare{ID: id, Epoch: newEpoch, Snapshot: snap}, &prep); err != nil {
+	if err := PostJSON(ctx, s.peerClient, target, migratePreparePath, &migratePrepare{ID: id, Epoch: newEpoch, Snapshot: snap}, &prep, peerResponseCap); err != nil {
 		s.abortMigration(sess)
 		s.metrics.MigrationFailed()
 		return nil, err
@@ -390,7 +390,7 @@ func (s *Server) migrateTo(ctx context.Context, id, target string) (*MigrateResp
 // state against ours.
 func (s *Server) confirmCommit(ctx context.Context, id, target string, epoch uint64, final []byte, tail []*oplog.Op) error {
 	var res migrateCommitResponse
-	if err := s.postPeer(ctx, target, migrateCommitPath, &migrateCommit{ID: id, Epoch: epoch, Tail: tail}, &res); err != nil {
+	if err := PostJSON(ctx, s.peerClient, target, migrateCommitPath, &migrateCommit{ID: id, Epoch: epoch, Tail: tail}, &res, peerResponseCap); err != nil {
 		return err
 	}
 	if !res.Already && !bytes.Equal(res.State, final) {
@@ -404,14 +404,14 @@ func (s *Server) confirmCommit(ctx context.Context, id, target string, epoch uin
 // destination already active at the epoch answers "already".
 func (s *Server) driveHandoff(ctx context.Context, id, target string, epoch uint64, state []byte) error {
 	var prep migratePrepareResponse
-	if err := s.postPeer(ctx, target, migratePreparePath, &migratePrepare{ID: id, Epoch: epoch, Snapshot: state}, &prep); err != nil {
+	if err := PostJSON(ctx, s.peerClient, target, migratePreparePath, &migratePrepare{ID: id, Epoch: epoch, Snapshot: state}, &prep, peerResponseCap); err != nil {
 		return err
 	}
 	if prep.Already {
 		return nil
 	}
 	var res migrateCommitResponse
-	if err := s.postPeer(ctx, target, migrateCommitPath, &migrateCommit{ID: id, Epoch: epoch}, &res); err != nil {
+	if err := PostJSON(ctx, s.peerClient, target, migrateCommitPath, &migrateCommit{ID: id, Epoch: epoch}, &res, peerResponseCap); err != nil {
 		return err
 	}
 	if !res.Already && !bytes.Equal(res.State, state) {
@@ -600,11 +600,17 @@ func (st *sessionStore) applyMigrateIn(op *oplog.Op) error {
 	return nil
 }
 
-// postPeer POSTs a JSON body to another replica's internal endpoint and
-// decodes the 2xx response into out. Failures surface as 502s carrying
-// the peer's answer, so the coordinator (and operators) see what the
-// destination actually said.
-func (s *Server) postPeer(ctx context.Context, base, path string, body, out any) error {
+// peerResponseCap bounds a replica-to-replica response (a migration
+// prepare or commit answer).
+const peerResponseCap = 1 << 26
+
+// PostJSON POSTs body as JSON to base+path through client and decodes a
+// 2xx response into out, reading at most maxResp response bytes — the
+// one JSON peer-call helper, shared by migrating replicas and the
+// cluster coordinator, which passes its own tighter cap for input from
+// outside. Failures surface as 502s carrying the peer's answer, so the
+// caller (and operators) see what the destination actually said.
+func PostJSON(ctx context.Context, client *http.Client, base, path string, body, out any, maxResp int64) error {
 	b, err := json.Marshal(body)
 	if err != nil {
 		return err
@@ -614,12 +620,12 @@ func (s *Server) postPeer(ctx context.Context, base, path string, body, out any)
 		return badRequest("building peer request: %v", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	res, err := s.peerClient.Do(req)
+	res, err := client.Do(req)
 	if err != nil {
 		return &httpError{code: http.StatusBadGateway, msg: fmt.Sprintf("peer %s: %v", base, err)}
 	}
 	defer res.Body.Close()
-	data, rerr := io.ReadAll(io.LimitReader(res.Body, 1<<26))
+	data, rerr := io.ReadAll(io.LimitReader(res.Body, maxResp))
 	if res.StatusCode/100 != 2 {
 		msg := strings.TrimSpace(string(data))
 		if len(msg) > 512 {

@@ -197,9 +197,9 @@ func createMigSession(t testing.TB, srv *Server, c migCase, id string) *session 
 	var s *session
 	var err error
 	if c.constrained {
-		s, err = srv.sessions.createConstrained(in, []int64{20, 3, 8}, 1, c.policy, id)
+		s, err = srv.sessions.create(in, []int64{20, 3, 8}, 1, c.policy, id)
 	} else {
-		s, err = srv.sessions.create(in, 1, c.policy, id)
+		s, err = srv.sessions.create(in, nil, 1, c.policy, id)
 	}
 	if err != nil {
 		t.Fatalf("create %s: %v", c.name, err)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -18,13 +19,22 @@ import (
 // session is one live admission-control session: a task set under
 // negotiation against a fixed platform and scheduler.
 //
-// Mutations are served by an incremental online.Engine that keeps live
-// per-machine load state, so an admit/remove/update costs a suffix
-// replay (typically O(log m)) instead of the full re-solve the first
-// version of this service performed. The engine only represents feasible
-// states; when a client force-commits an infeasible set the session
-// falls back to the batch Tester path (eng == nil) and re-arms the
-// engine on the next feasible commit.
+// Every op has one body. Mutations are served by an incremental
+// online.Engine that keeps live per-machine load state, so an
+// admit/remove/update costs a suffix replay (typically O(log m)) instead
+// of a full re-solve. The session always calls the engine's
+// deadline-agnostic entry points (AdmitConstrained, AdmitBatchConstrained):
+// implicit tasks are the D = P case, so implicit and constrained-deadline
+// sessions share every op path, and the engine is the one copy of each
+// task's deadline. Explicit batches and coalesced single admits share one
+// batch body (admitBatchLocked).
+//
+// The engine only represents feasible states. When an implicit session's
+// resident set turns infeasible — a force commit, or a removal the engine
+// refuses — the op goes through the session's one fallback,
+// resolveLocked: a fresh batch Tester re-solves the candidate set,
+// serves the session while it stays infeasible (eng == nil), and the
+// engine re-arms on the next feasible commit.
 //
 // Placement is the engine's placement policy (online.Policy):
 // first_fit_sorted sessions stay byte-identical to the paper's fresh
@@ -43,7 +53,7 @@ type session struct {
 	alpha     float64
 	placement online.Policy
 	eng       *online.Engine   // nil while the resident set is (force-)infeasible
-	tester    *partfeas.Tester // batch fallback; nil when stale (rebuilt lazily)
+	tester    *partfeas.Tester // batch test of the resident set; set exactly while eng is nil
 	closed    bool
 	mx        *Metrics    // per-path admission metrics; nil in bare tests
 	dur       *durability // WAL ack gate; nil without -data-dir (all calls nil-safe)
@@ -64,12 +74,10 @@ type session struct {
 	tail      []*oplog.Op
 
 	// Constrained-deadline sessions (deadline_model "constrained") admit
-	// through the engine's tiered DBF pipeline and are engine-only: the
-	// engine is always armed, force commits and repartition are refused,
-	// and dls holds each resident task's relative deadline (parallel to
-	// in.Tasks).
+	// through the engine's tiered DBF pipeline. They have no batch
+	// fallback, so the engine is always armed, and force commits and
+	// repartition are refused.
 	constrained bool
-	dls         []int64
 
 	// Admit coalescing: concurrent non-force single admits enqueue here
 	// and whichever request acquires s.mu next drains the whole queue as
@@ -127,38 +135,62 @@ func (st *sessionStore) count() int {
 	return len(st.m)
 }
 
-// create validates nothing itself — the handler passes a decoded,
-// validated instance. The instance is deep-copied so later request
-// buffers cannot alias session state. id, when non-empty, is a
-// caller-assigned session id (the cluster coordinator assigns ids so the
-// consistent-hash ring can route the session before it exists); empty
-// means the store assigns the next "s-<n>".
-func (st *sessionStore) create(in partfeas.Instance, alpha float64, placement online.Policy, id string) (*session, error) {
+// create opens a session. It validates nothing itself — the handler
+// passes a decoded, validated instance. The instance is deep-copied so
+// later request buffers cannot alias session state. dls holds the
+// relative deadlines of a constrained-deadline session and is nil for an
+// implicit one. id, when non-empty, is a caller-assigned session id (the
+// cluster coordinator assigns ids so the consistent-hash ring can route
+// the session before it exists); empty means the store assigns the next
+// "s-<n>".
+//
+// Implicit sessions may open infeasible: they just start on the batch
+// path. A constrained session has none, so a set the tiered pipeline
+// cannot place fails creation with 409, and a typed analysis error
+// (horizon or demand overflow) is surfaced rather than downgraded to a
+// verdict.
+func (st *sessionStore) create(in partfeas.Instance, dls []int64, alpha float64, placement online.Policy, id string) (*session, error) {
 	defer st.dur.rlock()()
-	tester, err := partfeas.NewTester(in.Tasks, in.Platform, in.Scheduler)
-	if err != nil {
-		return nil, &httpError{code: http.StatusBadRequest, msg: err.Error()}
-	}
 	s := &session{
 		in: partfeas.Instance{
 			Tasks:     in.Tasks.Clone(),
 			Platform:  in.Platform.Clone(),
 			Scheduler: in.Scheduler,
 		},
-		alpha:     alpha,
-		placement: placement,
-		tester:    tester,
-		epoch:     1,
-		mx:        st.mx,
-		dur:       st.dur,
+		alpha:       alpha,
+		placement:   placement,
+		constrained: dls != nil,
+		epoch:       1,
+		mx:          st.mx,
+		dur:         st.dur,
 	}
-	s.armEngine() // sessions may open infeasible; they just start on the batch path
+	if s.constrained {
+		if in.Scheduler != partfeas.EDF {
+			return nil, &httpError{code: http.StatusBadRequest, msg: "constrained-deadline sessions require the EDF scheduler"}
+		}
+		eng, err := online.NewEngine(s.in.Tasks, s.in.Platform, s.engineOptions(dls))
+		if err != nil {
+			code := http.StatusBadRequest
+			if errors.Is(err, online.ErrInfeasible) {
+				code = http.StatusConflict
+			}
+			return nil, &httpError{code: code, msg: fmt.Sprintf("constrained session: %v", err)}
+		}
+		s.eng = eng
+	} else {
+		tester, err := partfeas.NewTester(s.in.Tasks, s.in.Platform, s.in.Scheduler)
+		if err != nil {
+			return nil, &httpError{code: http.StatusBadRequest, msg: err.Error()}
+		}
+		s.tester = tester
+		s.armEngine()
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if err := st.assignID(s, id); err != nil {
 		return nil, err
 	}
-	if err := st.dur.logOp(createOp(s, nil)); err != nil {
+	if err := st.dur.logOp(createOp(s)); err != nil {
 		if id == "" {
 			st.seq--
 		}
@@ -232,9 +264,8 @@ func autoSeq(id string) (uint64, bool) {
 }
 
 // createOp encodes a session creation (the last fallible step before the
-// store insert, so a logged create always replays successfully). dls is
-// non-nil only for constrained sessions.
-func createOp(s *session, dls []int64) *oplog.Op {
+// store insert, so a logged create always replays successfully).
+func createOp(s *session) *oplog.Op {
 	op := &oplog.Op{
 		Type:      oplog.TypeCreate,
 		Session:   s.id,
@@ -252,8 +283,8 @@ func createOp(s *session, dls []int64) *oplog.Op {
 	}
 	for i, t := range s.in.Tasks {
 		op.Tasks[i] = oplog.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
-		if dls != nil {
-			op.Tasks[i].Deadline = dls[i]
+		if s.constrained {
+			op.Tasks[i].Deadline = s.eng.Deadline(i)
 		}
 	}
 	return op
@@ -370,36 +401,58 @@ func (s *session) logOp(op *oplog.Op) error {
 	return nil
 }
 
-// armEngine (re)builds the incremental engine over the current task set,
-// leaving it nil when the set is infeasible at the session augmentation
-// (the batch path then serves every query). Caller holds s.mu (or sole
-// ownership during create).
+// engineOptions are the session's engine options; dls is nil for an
+// implicit-deadline engine. The scheduler was validated at the boundary,
+// and constrained engines ignore Admission.
+func (s *session) engineOptions(dls []int64) online.Options {
+	adm, _ := s.in.Scheduler.Admission()
+	return online.Options{
+		Policy: s.placement, Alpha: s.alpha, Admission: adm,
+		Deadlines: dls, ApproxK: sessionApproxK,
+	}
+}
+
+// armEngine rebuilds an implicit session's engine over the current task
+// set, dropping the batch tester on success. On failure (the set is
+// infeasible at the session augmentation) the session stays on the batch
+// path. Caller holds s.mu (or sole ownership during create).
 func (s *session) armEngine() {
-	s.eng = nil
-	adm, err := s.in.Scheduler.Admission()
+	eng, err := online.NewEngine(s.in.Tasks, s.in.Platform, s.engineOptions(nil))
 	if err != nil {
 		return
 	}
-	eng, err := online.NewEngine(s.in.Tasks, s.in.Platform, online.Options{
-		Policy: s.placement, Admission: adm, Alpha: s.alpha,
-	})
-	if err != nil {
-		return // ErrInfeasible or unsupported: stay on the batch path
-	}
-	s.eng = eng
+	s.eng, s.tester = eng, nil
 }
 
-// batchTester returns the session's batch Tester, rebuilding it when a
-// prior engine-path mutation left it stale.
-func (s *session) batchTester() (*partfeas.Tester, error) {
-	if s.tester == nil {
-		t, err := partfeas.NewTester(s.in.Tasks, s.in.Platform, s.in.Scheduler)
-		if err != nil {
-			return nil, &httpError{code: http.StatusBadRequest, msg: err.Error()}
-		}
-		s.tester = t
+// resolveLocked is the one fallback for a resident set the engine cannot
+// hold; implicit sessions only, caller holds s.mu. A fresh batch Tester
+// over the candidate set becomes the session's test while the engine is
+// disarmed.
+//
+// While the session is disarmed, the tester re-solves the candidate from
+// scratch at the session alpha: it commits when the test accepts it or
+// force is set, and the engine re-arms as soon as the committed set is
+// feasible. An armed engine has already refused cand (the caller is
+// forcing it), so its verdict stands: cand commits without a re-test and
+// the engine disarms; the returned Report is then empty and the caller
+// answers with the engine's witness.
+func (s *session) resolveLocked(ctx context.Context, cand partfeas.TaskSet, force bool) (partfeas.Report, error) {
+	tester, err := partfeas.NewTester(cand, s.in.Platform, s.in.Scheduler)
+	if err != nil {
+		return partfeas.Report{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
 	}
-	return s.tester, nil
+	var rep partfeas.Report
+	if s.eng == nil {
+		rep, err = tester.TestCtx(ctx, s.alpha)
+		if err != nil || !(rep.Accepted || force) {
+			return rep, err
+		}
+	}
+	s.in.Tasks, s.eng, s.tester = cand, nil, tester
+	if rep.Accepted {
+		s.armEngine()
+	}
+	return rep, nil
 }
 
 // ctxGuard mirrors Tester.TestCtx's contract on the engine path: an
@@ -426,17 +479,13 @@ func (s *session) engReport(res partition.Result) partfeas.Report {
 // currentReport answers "test the resident set at the session alpha"
 // from the engine when armed, else from the batch tester.
 func (s *session) currentReport(ctx context.Context) (partfeas.Report, error) {
-	if s.eng != nil {
-		if err := ctxGuard(ctx); err != nil {
-			return partfeas.Report{}, err
-		}
-		return s.engReport(s.eng.Result()), nil
+	if s.eng == nil {
+		return s.tester.TestCtx(ctx, s.alpha)
 	}
-	t, err := s.batchTester()
-	if err != nil {
+	if err := ctxGuard(ctx); err != nil {
 		return partfeas.Report{}, err
 	}
-	return t.TestCtx(ctx, s.alpha)
+	return s.engReport(s.eng.Result()), nil
 }
 
 // state snapshots the session and re-tests it at its alpha.
@@ -464,8 +513,8 @@ func (s *session) state(ctx context.Context) (SessionResponse, error) {
 	}
 	for i, t := range s.in.Tasks {
 		resp.Tasks[i] = TaskJSON{Name: t.Name, WCET: t.WCET, Period: t.Period}
-		if s.constrained && s.dls[i] != t.Period {
-			resp.Tasks[i].Deadline = s.dls[i]
+		if s.constrained && s.eng.Deadline(i) != t.Period {
+			resp.Tasks[i].Deadline = s.eng.Deadline(i)
 		}
 	}
 	for i, m := range s.in.Platform {
@@ -475,38 +524,27 @@ func (s *session) state(ctx context.Context) (SessionResponse, error) {
 }
 
 // test re-tests the current set; alpha 0 keeps the session augmentation.
-// Ad-hoc alphas always run the batch sorted test (the engine's state is
-// only valid at the session alpha).
+// Ad-hoc alphas always run a fresh solve (the engine's state is only
+// valid at the session alpha): the batch sorted test, or for constrained
+// sets the exact constrained first-fit.
 func (s *session) test(ctx context.Context, alpha float64) (TestResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return TestResponse{}, errSessionClosed
 	}
-	if alpha == 0 || alpha == s.alpha {
-		rep, err := s.currentReport(ctx)
-		if err != nil {
-			return TestResponse{}, err
+	var rep partfeas.Report
+	var err error
+	switch {
+	case alpha == 0 || alpha == s.alpha:
+		rep, err = s.currentReport(ctx)
+	case s.constrained:
+		if err = ctxGuard(ctx); err == nil {
+			rep, err = s.freshConstrainedReport(alpha)
 		}
-		return TestResponseFrom(rep), nil
+	default:
+		rep, err = partfeas.TestCtx(ctx, s.in, alpha)
 	}
-	if s.constrained {
-		// No batch tester exists for constrained sets; ad-hoc alphas run
-		// a fresh exact constrained first-fit solve.
-		if err := ctxGuard(ctx); err != nil {
-			return TestResponse{}, err
-		}
-		rep, err := s.freshConstrainedReport(alpha)
-		if err != nil {
-			return TestResponse{}, err
-		}
-		return TestResponseFrom(rep), nil
-	}
-	t, err := s.batchTester()
-	if err != nil {
-		return TestResponse{}, err
-	}
-	rep, err := t.TestCtx(ctx, alpha)
 	if err != nil {
 		return TestResponse{}, err
 	}
@@ -554,26 +592,21 @@ func (s *session) addTask(ctx context.Context, t partfeas.Task, dl int64, force 
 
 // drainAdmits serves a coalesced group of queued single admits; the
 // caller holds s.mu. A singleton group runs the plain single-admit
-// path; larger groups run one engine AdmitBatch in queue order and
-// share the group's final state as their test response (each verdict
-// still equals what a sequential admit at that queue position would
-// have answered).
+// path; larger groups run the batch body once in queue order and share
+// the group's final state as their test response (each verdict still
+// equals what a sequential admit at that queue position would have
+// answered).
 func (s *session) drainAdmits(group []*admitWaiter) {
-	if len(group) == 0 {
-		return
-	}
 	live := group[:0]
 	for _, w := range group {
-		switch {
-		case s.guard() != nil:
-			w.err = s.guard()
-			close(w.done)
-		case ctxGuard(w.ctx) != nil:
+		if w.err = s.guard(); w.err == nil {
 			w.err = ctxGuard(w.ctx)
-			close(w.done)
-		default:
-			live = append(live, w)
 		}
+		if w.err != nil {
+			close(w.done)
+			continue
+		}
+		live = append(live, w)
 	}
 	if len(live) == 0 {
 		return
@@ -588,75 +621,26 @@ func (s *session) drainAdmits(group []*admitWaiter) {
 		return
 	}
 	// The coalesced group commits as one logged best-effort batch: replay
-	// admits the same tasks in the same queue order through AdmitBatch,
-	// which the engine keeps verdict-identical to sequential admission.
-	batch := &oplog.Op{
-		Type: oplog.TypeAdmitBatch, Session: s.id,
-		BatchMode: online.BestEffort.String(),
-		Tasks:     make([]oplog.Task, len(live)),
-	}
+	// admits the same tasks in the same queue order through the batch
+	// body, which the engine keeps verdict-identical to sequential
+	// admission.
+	ts := make([]partfeas.Task, len(live))
+	dls := make([]int64, len(live))
 	for i, w := range live {
-		batch.Tasks[i] = oplog.Task{Name: w.t.Name, WCET: w.t.WCET, Period: w.t.Period, Deadline: w.dl}
+		ts[i], dls[i] = w.t, w.dl
 	}
-	if lerr := s.logOp(batch); lerr != nil {
-		for _, w := range live {
-			w.err = lerr
-			close(w.done)
-		}
-		return
-	}
-	start := time.Now()
-	var res partition.Result
-	var admitted []bool
-	var err error
-	if s.constrained {
-		cs := make(dbf.Set, len(live))
-		for i, w := range live {
-			cs[i] = s.constrainedTask(w.t, w.dl)
-		}
-		res, admitted, err = s.eng.AdmitBatchConstrained(cs, online.BestEffort)
-	} else {
-		ts := make(partfeas.TaskSet, len(live))
-		for i, w := range live {
-			ts[i] = w.t
-		}
-		res, admitted, err = s.eng.AdmitBatch(ts, online.BestEffort)
-	}
-	if err != nil {
-		herr := &httpError{code: http.StatusBadRequest, msg: err.Error()}
-		for _, w := range live {
-			w.err = herr
-			close(w.done)
-		}
-		return
-	}
-	if s.mx != nil {
-		d := time.Since(start)
-		for range live {
-			s.mx.AdmissionObserved(PathCoalesced, d)
-		}
-		s.observeTier(d)
-	}
-	any := false
-	for i, ok := range admitted {
-		if ok {
-			s.in.Tasks = append(s.in.Tasks, live[i].t)
-			if s.constrained {
-				s.dls = append(s.dls, s.deadlineOf(live[i].t, live[i].dl))
+	// The batch answers every waiter, so no one waiter's cancellation may
+	// abort it.
+	ctx := context.WithoutCancel(live[0].ctx)
+	resp, err := s.admitBatchLocked(ctx, ts, dls, online.BestEffort, PathCoalesced)
+	for i, w := range live {
+		if w.err = err; err == nil {
+			w.resp = AdmissionResponse{
+				Admitted:   resp.Admitted[i],
+				RolledBack: !resp.Admitted[i],
+				NTasks:     resp.NTasks,
+				Test:       resp.Test,
 			}
-			any = true
-		}
-	}
-	if any {
-		s.tester = nil
-	}
-	test := TestResponseFrom(s.engReport(res))
-	for i, w := range live {
-		w.resp = AdmissionResponse{
-			Admitted:   admitted[i],
-			RolledBack: !admitted[i],
-			NTasks:     len(s.in.Tasks),
-			Test:       test,
 		}
 		close(w.done)
 	}
@@ -679,56 +663,29 @@ func (s *session) addTaskLocked(ctx context.Context, t partfeas.Task, dl int64, 
 		return AdmissionResponse{}, err
 	}
 	ctx = s.dur.applyCtx(ctx)
-	if s.eng != nil {
-		start := time.Now()
-		var res partition.Result
-		var admitted bool
-		var err error
-		if s.constrained {
-			res, admitted, err = s.eng.AdmitConstrained(s.constrainedTask(t, dl))
-		} else {
-			res, admitted, err = s.eng.Admit(t)
-		}
+	if s.eng == nil {
+		rep, err := s.resolveLocked(ctx, append(s.in.Tasks.Clone(), t), force)
 		if err != nil {
-			return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
+			return AdmissionResponse{}, err
 		}
-		s.observeAdmission(start)
-		resp := AdmissionResponse{Admitted: admitted || force, Test: TestResponseFrom(s.engReport(res))}
-		switch {
-		case admitted:
-			s.in.Tasks = append(s.in.Tasks, t)
-			if s.constrained {
-				s.dls = append(s.dls, s.deadlineOf(t, dl))
-			}
-			s.tester = nil
-		case force:
-			if err := s.commitInfeasible(append(s.in.Tasks.Clone(), t)); err != nil {
-				return AdmissionResponse{}, err
-			}
-		default:
-			resp.RolledBack = true
-		}
-		resp.NTasks = len(s.in.Tasks)
-		return resp, nil
+		admitted := rep.Accepted || force
+		return AdmissionResponse{Admitted: admitted, RolledBack: !admitted, NTasks: len(s.in.Tasks), Test: TestResponseFrom(rep)}, nil
 	}
-
-	cand := append(s.in.Tasks.Clone(), t)
-	tester, err := partfeas.NewTester(cand, s.in.Platform, s.in.Scheduler)
+	start := time.Now()
+	res, admitted, err := s.eng.AdmitConstrained(constrainedTask(t, dl))
 	if err != nil {
 		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
 	}
-	rep, err := tester.TestCtx(ctx, s.alpha)
-	if err != nil {
-		return AdmissionResponse{}, err
-	}
-	resp := AdmissionResponse{Admitted: rep.Accepted || force, Test: TestResponseFrom(rep)}
-	if resp.Admitted {
-		s.in.Tasks = cand
-		s.tester = tester
-		if rep.Accepted {
-			s.armEngine()
+	s.observeAdmission(start)
+	resp := AdmissionResponse{Admitted: admitted || force, Test: TestResponseFrom(s.engReport(res))}
+	switch {
+	case admitted:
+		s.in.Tasks = append(s.in.Tasks, t)
+	case force:
+		if _, err := s.resolveLocked(ctx, append(s.in.Tasks.Clone(), t), true); err != nil {
+			return AdmissionResponse{}, err
 		}
-	} else {
+	default:
 		resp.RolledBack = true
 	}
 	resp.NTasks = len(s.in.Tasks)
@@ -763,14 +720,11 @@ func (s *session) observeTier(d time.Duration) {
 	}
 }
 
-// addTaskBatch admits several tasks in one call. With an armed engine
-// the whole batch is one merged suffix replay; per-task verdicts are
+// addTaskBatch admits several tasks in one call: per-task verdicts are
 // identical to admitting the tasks one at a time in input order
-// (best-effort mode) or the batch commits atomically or not at all
-// (all-or-nothing mode). While the resident set is infeasible the
-// fallback answers each task through the batch tester with best-effort
-// semantics; all-or-nothing then degenerates to reject-all, since
-// adding tasks cannot restore feasibility.
+// (best-effort mode), or the batch commits atomically or not at all
+// (all-or-nothing mode). dls is nil when the request carried no
+// deadlines.
 func (s *session) addTaskBatch(ctx context.Context, ts []partfeas.Task, dls []int64, mode online.BatchMode) (BatchAdmissionResponse, error) {
 	defer s.dur.rlock()()
 	s.mu.Lock()
@@ -779,11 +733,7 @@ func (s *session) addTaskBatch(ctx context.Context, ts []partfeas.Task, dls []in
 		return BatchAdmissionResponse{}, err
 	}
 	for i := range ts {
-		var dl int64
-		if dls != nil {
-			dl = dls[i]
-		}
-		if err := s.checkDeadlineArg(dl, ts[i].Period, false); err != nil {
+		if err := s.checkDeadlineArg(deadlineAt(dls, i), ts[i].Period, false); err != nil {
 			return BatchAdmissionResponse{}, err
 		}
 	}
@@ -792,206 +742,144 @@ func (s *session) addTaskBatch(ctx context.Context, ts []partfeas.Task, dls []in
 		if err != nil {
 			return BatchAdmissionResponse{}, err
 		}
-		return BatchAdmissionResponse{
-			Mode:     mode.String(),
-			Admitted: []bool{},
-			NTasks:   len(s.in.Tasks),
-			Test:     TestResponseFrom(rep),
-		}, nil
+		return s.batchResponse(mode, []bool{}, rep), nil
 	}
 	if err := ctxGuard(ctx); err != nil {
 		return BatchAdmissionResponse{}, err
 	}
-	batch := &oplog.Op{
+	return s.admitBatchLocked(ctx, ts, dls, mode, PathBatch)
+}
+
+// admitBatchLocked is the one batch body, shared by explicit batches and
+// coalesced single admits; the caller holds s.mu and has run the guards.
+// It logs the op, then runs the batch through the armed engine — one
+// merged suffix replay — and records its latency under the caller's
+// path label (once per task for coalesced groups). While the resident
+// set is infeasible the batch goes through resolveLocked instead: one
+// union test decides an all-or-nothing batch (which then degenerates to
+// reject-all, since adding tasks cannot restore feasibility), and a
+// best-effort batch tests each task in order against the then-current
+// set until feasibility returns, when the engine finishes the rest.
+func (s *session) admitBatchLocked(ctx context.Context, ts []partfeas.Task, dls []int64, mode online.BatchMode, path AdmissionPath) (BatchAdmissionResponse, error) {
+	op := &oplog.Op{
 		Type: oplog.TypeAdmitBatch, Session: s.id,
 		BatchMode: mode.String(),
 		Tasks:     make([]oplog.Task, len(ts)),
 	}
 	for i, t := range ts {
-		batch.Tasks[i] = oplog.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
-		if dls != nil {
-			batch.Tasks[i].Deadline = dls[i]
-		}
+		op.Tasks[i] = oplog.Task{Name: t.Name, WCET: t.WCET, Period: t.Period, Deadline: deadlineAt(dls, i)}
 	}
-	if err := s.logOp(batch); err != nil {
+	if err := s.logOp(op); err != nil {
 		return BatchAdmissionResponse{}, err
 	}
 	ctx = s.dur.applyCtx(ctx)
 	if s.eng != nil {
 		start := time.Now()
-		var res partition.Result
-		var admitted []bool
-		var err error
-		if s.constrained {
-			cs := make(dbf.Set, len(ts))
-			for i, t := range ts {
-				var dl int64
-				if dls != nil {
-					dl = dls[i]
-				}
-				cs[i] = s.constrainedTask(t, dl)
-			}
-			res, admitted, err = s.eng.AdmitBatchConstrained(cs, mode)
-		} else {
-			res, admitted, err = s.eng.AdmitBatch(ts, mode)
-		}
+		res, admitted, err := s.engineBatch(ts, dls, mode)
 		if err != nil {
-			return BatchAdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
+			return BatchAdmissionResponse{}, err
 		}
 		if s.mx != nil {
 			d := time.Since(start)
-			s.mx.AdmissionObserved(PathBatch, d)
+			n := 1
+			if path == PathCoalesced {
+				n = len(ts) // one observation per coalesced admit
+			}
+			for ; n > 0; n-- {
+				s.mx.AdmissionObserved(path, d)
+			}
 			s.observeTier(d)
 		}
-		n := 0
-		for i, ok := range admitted {
-			if ok {
-				s.in.Tasks = append(s.in.Tasks, ts[i])
-				if s.constrained {
-					var dl int64
-					if dls != nil {
-						dl = dls[i]
-					}
-					s.dls = append(s.dls, s.deadlineOf(ts[i], dl))
-				}
-				n++
-			}
-		}
-		if n > 0 {
-			s.tester = nil
-		}
-		return BatchAdmissionResponse{
-			Mode:      mode.String(),
-			Admitted:  admitted,
-			NAdmitted: n,
-			NTasks:    len(s.in.Tasks),
-			Test:      TestResponseFrom(s.engReport(res)),
-		}, nil
+		return s.batchResponse(mode, admitted, s.engReport(res)), nil
 	}
-
-	// Batch-tester fallback (resident set infeasible). All-or-nothing:
-	// one union test decides the whole batch. Best-effort: admit each
-	// task in order against the then-current set.
 	admitted := make([]bool, len(ts))
 	if mode == online.AllOrNothing {
-		cand := append(s.in.Tasks.Clone(), ts...)
-		tester, err := partfeas.NewTester(cand, s.in.Platform, s.in.Scheduler)
-		if err != nil {
-			return BatchAdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
-		}
-		rep, err := tester.TestCtx(ctx, s.alpha)
+		rep, err := s.resolveLocked(ctx, append(s.in.Tasks.Clone(), ts...), false)
 		if err != nil {
 			return BatchAdmissionResponse{}, err
 		}
-		n := 0
-		if rep.Accepted {
-			s.in.Tasks = cand
-			s.tester = tester
-			s.armEngine()
-			for i := range admitted {
-				admitted[i] = true
-			}
-			n = len(ts)
+		for i := range admitted {
+			admitted[i] = rep.Accepted
 		}
-		return BatchAdmissionResponse{
-			Mode:      mode.String(),
-			Admitted:  admitted,
-			NAdmitted: n,
-			NTasks:    len(s.in.Tasks),
-			Test:      TestResponseFrom(rep),
-		}, nil
+		return s.batchResponse(mode, admitted, rep), nil
 	}
-	n := 0
-	var last partfeas.Report
+	var rep partfeas.Report
 	for i, t := range ts {
-		cand := append(s.in.Tasks.Clone(), t)
-		tester, err := partfeas.NewTester(cand, s.in.Platform, s.in.Scheduler)
-		if err != nil {
-			return BatchAdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
+		if s.eng != nil {
+			// Feasibility returned mid-batch: the engine finishes it.
+			if err := ctxGuard(ctx); err != nil {
+				return BatchAdmissionResponse{}, err
+			}
+			_, rest, err := s.engineBatch(ts[i:], nil, online.BestEffort)
+			if err != nil {
+				return BatchAdmissionResponse{}, err
+			}
+			copy(admitted[i:], rest)
+			break
 		}
-		rep, err := tester.TestCtx(ctx, s.alpha)
-		if err != nil {
+		var err error
+		if rep, err = s.resolveLocked(ctx, append(s.in.Tasks.Clone(), t), false); err != nil {
 			return BatchAdmissionResponse{}, err
 		}
-		last = rep
-		if rep.Accepted {
-			admitted[i] = true
-			n++
-			s.in.Tasks = cand
-			s.tester = tester
-			s.armEngine()
-			if s.eng != nil {
-				// Feasibility returned mid-batch: the engine finishes it.
-				rest, err := s.addTaskBatchEngine(ctx, ts[i+1:], admitted[i+1:])
-				if err != nil {
-					return BatchAdmissionResponse{}, err
-				}
-				n += rest
-				break
-			}
+		admitted[i] = rep.Accepted
+	}
+	if s.eng != nil {
+		rep = s.engReport(s.eng.Result())
+	}
+	return s.batchResponse(mode, admitted, rep), nil
+}
+
+// engineBatch runs ts through the armed engine as one batch and appends
+// the admitted tasks. Caller holds s.mu.
+func (s *session) engineBatch(ts []partfeas.Task, dls []int64, mode online.BatchMode) (partition.Result, []bool, error) {
+	cs := make(dbf.Set, len(ts))
+	for i, t := range ts {
+		cs[i] = constrainedTask(t, deadlineAt(dls, i))
+	}
+	res, admitted, err := s.eng.AdmitBatchConstrained(cs, mode)
+	if err != nil {
+		return res, nil, &httpError{code: http.StatusBadRequest, msg: err.Error()}
+	}
+	for i, ok := range admitted {
+		if ok {
+			s.in.Tasks = append(s.in.Tasks, ts[i])
 		}
 	}
-	resp := BatchAdmissionResponse{
+	return res, admitted, nil
+}
+
+// batchResponse answers a batch over the session's committed set.
+func (s *session) batchResponse(mode online.BatchMode, admitted []bool, rep partfeas.Report) BatchAdmissionResponse {
+	n := 0
+	for _, ok := range admitted {
+		if ok {
+			n++
+		}
+	}
+	return BatchAdmissionResponse{
 		Mode:      mode.String(),
 		Admitted:  admitted,
 		NAdmitted: n,
 		NTasks:    len(s.in.Tasks),
+		Test:      TestResponseFrom(rep),
 	}
-	if s.eng != nil {
-		resp.Test = TestResponseFrom(s.engReport(s.eng.Result()))
-	} else {
-		resp.Test = TestResponseFrom(last)
-	}
-	return resp, nil
 }
 
-// addTaskBatchEngine finishes a best-effort batch on the engine after
-// the tester fallback restored feasibility partway through. Caller
-// holds s.mu; verdicts land in the admitted slice.
-func (s *session) addTaskBatchEngine(ctx context.Context, ts []partfeas.Task, admitted []bool) (int, error) {
-	if len(ts) == 0 {
-		return 0, nil
+// deadlineAt is task i's wire deadline, 0 (implicit) when the request
+// carried none.
+func deadlineAt(dls []int64, i int) int64 {
+	if dls == nil {
+		return 0
 	}
-	if err := ctxGuard(ctx); err != nil {
-		return 0, err
-	}
-	_, adm, err := s.eng.AdmitBatch(ts, online.BestEffort)
-	if err != nil {
-		return 0, &httpError{code: http.StatusBadRequest, msg: err.Error()}
-	}
-	n := 0
-	for i, ok := range adm {
-		admitted[i] = ok
-		if ok {
-			s.in.Tasks = append(s.in.Tasks, ts[i])
-			n++
-		}
-	}
-	if n > 0 {
-		s.tester = nil
-	}
-	return n, nil
-}
-
-// commitInfeasible installs a set the engine refused (force commits and
-// removal anomalies): the batch tester takes over and the engine is
-// disarmed until feasibility returns. Caller holds s.mu.
-func (s *session) commitInfeasible(cand partfeas.TaskSet) error {
-	tester, err := partfeas.NewTester(cand, s.in.Platform, s.in.Scheduler)
-	if err != nil {
-		return &httpError{code: http.StatusBadRequest, msg: err.Error()}
-	}
-	s.in.Tasks = cand
-	s.tester = tester
-	s.eng = nil
-	return nil
+	return dls[i]
 }
 
 // removeTask always commits (releasing load cannot be refused) and
 // reports the re-test of the shrunken set. Sorted first-fit is not
 // monotone under removals, so the engine can (rarely) refuse a removal
-// whose shrunken set re-solves infeasible — the session still commits
-// it, on the batch path.
+// whose shrunken set re-solves infeasible — an implicit session still
+// commits it, through resolveLocked; a constrained one keeps the task
+// resident and answers with the rejection witness.
 func (s *session) removeTask(ctx context.Context, idx int) (AdmissionResponse, error) {
 	defer s.dur.rlock()()
 	s.mu.Lock()
@@ -1012,53 +900,31 @@ func (s *session) removeTask(ctx context.Context, idx int) (AdmissionResponse, e
 		return AdmissionResponse{}, err
 	}
 	ctx = s.dur.applyCtx(ctx)
-	if s.eng != nil {
-		res, ok, err := s.eng.Remove(idx)
-		if err != nil {
-			return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
-		}
-		resp := AdmissionResponse{Admitted: ok, Test: TestResponseFrom(s.engReport(res))}
-		cand := append(s.in.Tasks[:idx].Clone(), s.in.Tasks[idx+1:]...)
-		switch {
-		case ok:
-			s.in.Tasks = cand
-			if s.constrained {
-				s.dls = append(s.dls[:idx], s.dls[idx+1:]...)
-			}
-			s.tester = nil
-		case s.constrained:
-			// Constrained sessions have no infeasible fallback path: the
-			// (rare) removal whose shrunken set re-solves infeasible stays
-			// resident and the client sees the rejection witness.
-			resp.RolledBack = true
-		default:
-			if err := s.commitInfeasible(cand); err != nil {
-				return AdmissionResponse{}, err
-			}
-		}
-		resp.NTasks = len(s.in.Tasks)
-		return resp, nil
-	}
-
 	cand := append(s.in.Tasks[:idx].Clone(), s.in.Tasks[idx+1:]...)
-	tester, err := partfeas.NewTester(cand, s.in.Platform, s.in.Scheduler)
+	if s.eng == nil {
+		rep, err := s.resolveLocked(ctx, cand, true)
+		if err != nil {
+			return AdmissionResponse{}, err
+		}
+		return AdmissionResponse{Admitted: rep.Accepted, NTasks: len(s.in.Tasks), Test: TestResponseFrom(rep)}, nil
+	}
+	res, ok, err := s.eng.Remove(idx)
 	if err != nil {
-		return AdmissionResponse{}, err
+		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
 	}
-	rep, err := tester.TestCtx(ctx, s.alpha)
-	if err != nil {
-		return AdmissionResponse{}, err
+	resp := AdmissionResponse{Admitted: ok, Test: TestResponseFrom(s.engReport(res))}
+	switch {
+	case ok:
+		s.in.Tasks = cand
+	case s.constrained:
+		resp.RolledBack = true
+	default:
+		if _, err := s.resolveLocked(ctx, cand, true); err != nil {
+			return AdmissionResponse{}, err
+		}
 	}
-	s.in.Tasks = cand
-	s.tester = tester
-	if rep.Accepted {
-		s.armEngine()
-	}
-	return AdmissionResponse{
-		Admitted: rep.Accepted,
-		NTasks:   len(s.in.Tasks),
-		Test:     TestResponseFrom(rep),
-	}, nil
+	resp.NTasks = len(s.in.Tasks)
+	return resp, nil
 }
 
 // updateWCET changes one task's WCET through the engine's incremental
@@ -1083,57 +949,38 @@ func (s *session) updateWCET(ctx context.Context, idx int, wcet int64, force boo
 		return AdmissionResponse{}, err
 	}
 	ctx = s.dur.applyCtx(ctx)
-	if s.eng != nil {
-		res, ok, err := s.eng.UpdateWCET(idx, wcet)
+	if s.eng == nil {
+		rep, err := s.resolveLocked(ctx, withWCET(s.in.Tasks, idx, wcet), force)
 		if err != nil {
-			return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
-		}
-		resp := AdmissionResponse{Admitted: ok || force, Test: TestResponseFrom(s.engReport(res))}
-		switch {
-		case ok:
-			s.in.Tasks[idx].WCET = wcet
-			s.tester = nil
-		case force:
-			cand := s.in.Tasks.Clone()
-			cand[idx].WCET = wcet
-			if err := s.commitInfeasible(cand); err != nil {
-				return AdmissionResponse{}, err
-			}
-		default:
-			resp.RolledBack = true
-		}
-		resp.NTasks = len(s.in.Tasks)
-		return resp, nil
-	}
-
-	tester, err := s.batchTester()
-	if err != nil {
-		return AdmissionResponse{}, err
-	}
-	old := s.in.Tasks[idx].WCET
-	if err := tester.UpdateWCET(idx, wcet); err != nil {
-		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
-	}
-	rep, err := tester.TestCtx(ctx, s.alpha)
-	if err != nil {
-		// Leave the session as the client knew it.
-		_ = tester.UpdateWCET(idx, old)
-		return AdmissionResponse{}, err
-	}
-	resp := AdmissionResponse{Admitted: rep.Accepted || force, Test: TestResponseFrom(rep)}
-	if resp.Admitted {
-		s.in.Tasks[idx].WCET = wcet
-		if rep.Accepted {
-			s.armEngine()
-		}
-	} else {
-		resp.RolledBack = true
-		if err := tester.UpdateWCET(idx, old); err != nil {
 			return AdmissionResponse{}, err
 		}
+		admitted := rep.Accepted || force
+		return AdmissionResponse{Admitted: admitted, RolledBack: !admitted, NTasks: len(s.in.Tasks), Test: TestResponseFrom(rep)}, nil
+	}
+	res, ok, err := s.eng.UpdateWCET(idx, wcet)
+	if err != nil {
+		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
+	}
+	resp := AdmissionResponse{Admitted: ok || force, Test: TestResponseFrom(s.engReport(res))}
+	switch {
+	case ok:
+		s.in.Tasks[idx].WCET = wcet
+	case force:
+		if _, err := s.resolveLocked(ctx, withWCET(s.in.Tasks, idx, wcet), true); err != nil {
+			return AdmissionResponse{}, err
+		}
+	default:
+		resp.RolledBack = true
 	}
 	resp.NTasks = len(s.in.Tasks)
 	return resp, nil
+}
+
+// withWCET is a copy of ts with task idx's WCET replaced.
+func withWCET(ts partfeas.TaskSet, idx int, wcet int64) partfeas.TaskSet {
+	c := ts.Clone()
+	c[idx].WCET = wcet
+	return c
 }
 
 // errNoEngine is the repartition answer for sessions whose resident set

@@ -162,60 +162,11 @@ type SimulationResult = sim.PlatformResult
 type ArrivalModel = sim.ArrivalModel
 
 // JitteredArrivals is a deterministic sparser-than-periodic sporadic
-// arrival model for SimulateOpts.
+// arrival model for SimulateOptions.Arrivals.
 type JitteredArrivals = sim.JitteredArrivals
-
-// Simulate replays a partition (assignment[i] = machine of task i) under
-// synchronous periodic releases with exact rational timestamps. alpha
-// scales machine speeds, matching a Report produced at that augmentation.
-// horizon <= 0 selects one hyperperiod.
-//
-// Deprecated: use SimulateCtx, which unifies the four Simulate variants
-// behind one context-aware entry point. This wrapper runs
-// SimulateCtx(context.Background(), …) with the policy's matching
-// scheduler and is decision-identical.
-func Simulate(ts TaskSet, p Platform, assignment []int, policy Policy, alpha float64, horizon int64) (SimulationResult, error) {
-	res, _, err := SimulateCtx(context.Background(),
-		Instance{Tasks: ts, Platform: p, Scheduler: schedulerForPolicy(policy)},
-		SimulateOptions{Assignment: assignment, Alpha: alpha, Horizon: horizon})
-	return res, err
-}
-
-// SimulateOpts is Simulate with an explicit arrival model and worker
-// count.
-//
-// Deprecated: use SimulateCtx. The opts struct is shared; this wrapper
-// honors opts.Ctx for callers that set it.
-func SimulateOpts(ts TaskSet, p Platform, assignment []int, policy Policy, alpha float64, horizon int64, opts SimulateOptions) (SimulationResult, error) {
-	opts.Assignment, opts.Alpha, opts.Horizon, opts.Trace = assignment, alpha, horizon, false
-	res, _, err := SimulateCtx(opts.Ctx,
-		Instance{Tasks: ts, Platform: p, Scheduler: schedulerForPolicy(policy)}, opts)
-	return res, err
-}
 
 // Trace records the execution segments of one simulated machine.
 type Trace = sim.Trace
-
-// SimulateTraced is Simulate plus one execution trace per machine, for
-// Gantt rendering and schedule audits.
-//
-// Deprecated: use SimulateCtx with SimulateOptions.Trace set.
-func SimulateTraced(ts TaskSet, p Platform, assignment []int, policy Policy, alpha float64, horizon int64) (SimulationResult, []*Trace, error) {
-	return SimulateCtx(context.Background(),
-		Instance{Tasks: ts, Platform: p, Scheduler: schedulerForPolicy(policy)},
-		SimulateOptions{Assignment: assignment, Alpha: alpha, Horizon: horizon, Trace: true})
-}
-
-// SimulateTracedOpts is SimulateTraced with an explicit arrival model,
-// worker count and context.
-//
-// Deprecated: use SimulateCtx with SimulateOptions.Trace set. This
-// wrapper honors opts.Ctx for callers that set it.
-func SimulateTracedOpts(ts TaskSet, p Platform, assignment []int, policy Policy, alpha float64, horizon int64, opts SimulateOptions) (SimulationResult, []*Trace, error) {
-	opts.Assignment, opts.Alpha, opts.Horizon, opts.Trace = assignment, alpha, horizon, true
-	return SimulateCtx(opts.Ctx,
-		Instance{Tasks: ts, Platform: p, Scheduler: schedulerForPolicy(policy)}, opts)
-}
 
 // Gantt renders per-machine traces as an ASCII chart over [0, horizon)
 // using width character cells; labels[i] names task i.

@@ -1,6 +1,7 @@
 package partfeas
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -54,9 +55,13 @@ func TestPublicSimulate(t *testing.T) {
 	if err != nil || !rep.Accepted {
 		t.Fatal("demo must be accepted")
 	}
-	res, err := Simulate(ts, p, rep.Partition.Assignment, PolicyEDF, 1, 0)
+	in := Instance{Tasks: ts, Platform: p, Scheduler: EDF}
+	res, traces, err := SimulateCtx(context.Background(), in, SimulateOptions{Assignment: rep.Partition.Assignment, Alpha: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if traces != nil {
+		t.Error("untraced run returned traces")
 	}
 	if res.TotalMisses != 0 {
 		t.Errorf("accepted demo missed %d deadlines", res.TotalMisses)
