@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race faultsmoke servesmoke loadsmoke crashsmoke arenasmoke clustersmoke fuzz bench benchsmoke benchjson benchmod
+.PHONY: ci vet build test race faultsmoke servesmoke loadsmoke crashsmoke arenasmoke clustersmoke fuzz bench benchsmoke benchmod
 
 ## ci: the full verification gate — vet, build, unit tests, race detector,
 ## the fault-injection matrix, the admission-server smoke, an open-loop
@@ -92,11 +92,6 @@ bench:
 ## benchmark setup assertions (acceptance, miss-free instances) hold.
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
-
-## benchjson: record the benchmark suite to results/BENCH_1.json for
-## cross-PR perf tracking.
-benchjson:
-	$(GO) run ./cmd/benchjson -benchtime 0.3s -o results/BENCH_1.json
 
 ## benchmod: vet and test the benchmark module (bench/, its own go.mod).
 ## Root builds never compile it, so this is what catches a public-API

@@ -41,8 +41,7 @@ const (
 	TypeCreate
 	// TypeAdmit records a single task admission (Tasks has one entry).
 	TypeAdmit
-	// TypeAdmitBatch records a batch admission (including coalesced
-	// single admits, which commit as one best-effort batch).
+	// TypeAdmitBatch records a batch admission.
 	TypeAdmitBatch
 	// TypeRemove records a task removal; Target is the task index.
 	TypeRemove

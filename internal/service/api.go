@@ -296,9 +296,9 @@ type BatchAdmissionResponse struct {
 	Durability string `json:"durability,omitempty"`
 }
 
-// UpdateWCETRequest changes one task's WCET (incremental re-test via
-// the session's online engine, or the batch Tester's UpdateWCET while
-// the resident set is infeasible — never a solver rebuild).
+// UpdateWCETRequest changes one task's WCET: an incremental re-test via
+// the session's online engine, or a fresh batch test of the updated set
+// while the resident set is infeasible (engine disarmed).
 type UpdateWCETRequest struct {
 	Index     int   `json:"index"`
 	WCET      int64 `json:"wcet"`

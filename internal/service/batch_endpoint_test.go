@@ -3,8 +3,8 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -138,9 +138,11 @@ func TestSessionAdmitBatchValidation(t *testing.T) {
 }
 
 // TestAdmissionMetricsMove asserts the per-path admission counters and
-// latency histograms actually record: tail and interior single admits,
-// an explicit batch, and a forced coalesced group must each move their
-// counter, and the /metrics exposition must carry all four paths.
+// latency histograms actually record: tail and interior single admits
+// and an explicit batch must each move their counter, and the /metrics
+// exposition must carry all three paths. Single admits queued behind a
+// held session lock each run alone, in lock order: every one answers
+// with its own task count and moves the tail/interior counters once.
 func TestAdmissionMetricsMove(t *testing.T) {
 	s := newTestServer(t)
 	id := stressSession(t, s, "sorted")
@@ -160,74 +162,84 @@ func TestAdmissionMetricsMove(t *testing.T) {
 		`{"tasks":[{"wcet":1,"period":300},{"wcet":1,"period":400}]}`); w.Code != http.StatusOK {
 		t.Fatalf("batch admit: %d %s", w.Code, w.Body)
 	}
-
-	// Forced coalescing: hold the session lock, queue several admits,
-	// release — the first waiter to win the lock must drain the whole
-	// group as one engine batch.
-	sess, err := s.sessions.get(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const group = 4
-	sess.mu.Lock()
-	var wg sync.WaitGroup
-	for i := 0; i < group; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := sess.addTask(context.Background(),
-				partfeas.Task{WCET: 1, Period: int64(500 + i)}, 0, false)
-			if err != nil {
-				t.Errorf("coalesced admit %d: %v", i, err)
-				return
-			}
-			if !resp.Admitted {
-				t.Errorf("coalesced admit %d rejected", i)
-			}
-		}()
-	}
-	// Wait until every waiter is queued before releasing the lock.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		sess.pendMu.Lock()
-		n := len(sess.pending)
-		sess.pendMu.Unlock()
-		if n == group {
-			break
-		}
-		if time.Now().After(deadline) {
-			sess.mu.Unlock()
-			t.Fatalf("only %d/%d admits queued", n, group)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	sess.mu.Unlock()
-	wg.Wait()
-
-	m := s.Metrics()
-	for p, want := range map[AdmissionPath]uint64{
-		PathTail:      1,
-		PathInterior:  1,
-		PathBatch:     1,
-		PathCoalesced: group,
-	} {
-		if got := m.admitCnt[p].Load(); got < want {
-			t.Errorf("path %v count = %d, want ≥ %d", p, got, want)
-		}
-	}
 	w := do(t, s, http.MethodGet, "/metrics", "")
 	out := w.Body.String()
 	for _, want := range []string{
 		`partfeas_admissions_total{path="tail"} 1`,
 		`partfeas_admissions_total{path="interior"} 1`,
 		`partfeas_admissions_total{path="batch"} 1`,
-		fmt.Sprintf(`partfeas_admissions_total{path="coalesced"} %d`, group),
 		`partfeas_admission_duration_seconds{path="interior",quantile="0.99"}`,
-		`partfeas_admission_duration_seconds_count{path="coalesced"}`,
+		`partfeas_admission_duration_seconds_count{path="batch"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+
+	// Queued single admits: hold the session lock until every admit is
+	// parked on it, then release.
+	sess, err := s.sessions.get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := s.Metrics()
+	singles := func() uint64 { return m.admitCnt[PathTail].Load() + m.admitCnt[PathInterior].Load() }
+	const queued = 4
+	sess.mu.Lock()
+	n, before := len(sess.in.Tasks), singles()
+	counts := make(chan int, queued)
+	var wg sync.WaitGroup
+	for i := 0; i < queued; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := sess.addTask(context.Background(),
+				partfeas.Task{WCET: 1, Period: int64(500 + i)}, 0, false)
+			if err != nil {
+				t.Errorf("queued admit %d: %v", i, err)
+				return
+			}
+			if !resp.Admitted {
+				t.Errorf("queued admit %d rejected", i)
+			}
+			counts <- resp.NTasks
+		}(i)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for parked := 0; parked < queued; parked = admitsParked() {
+		if time.Now().After(deadline) {
+			sess.mu.Unlock()
+			t.Fatalf("only %d/%d admits parked on the session lock", parked, queued)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sess.mu.Unlock()
+	wg.Wait()
+	close(counts)
+	got := map[int]bool{}
+	for c := range counts {
+		got[c] = true
+	}
+	for c := n + 1; c <= n+queued; c++ {
+		if !got[c] {
+			t.Errorf("no queued admit answered n_tasks = %d; got %v", c, got)
+		}
+	}
+	if moved := singles() - before; moved != queued {
+		t.Errorf("tail+interior counters moved by %d, want %d", moved, queued)
+	}
+}
+
+// admitsParked counts goroutines blocked on a mutex inside
+// (*session).addTask.
+func admitsParked() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "sync.(*Mutex).Lock") && strings.Contains(g, ").addTask(") {
+			n++
+		}
+	}
+	return n
 }

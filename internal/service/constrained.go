@@ -10,7 +10,7 @@ package service
 // own: the engine's constrained entry points take implicit tasks as the
 // D = P case.
 //
-// Constrained sessions are engine-only. The batch-tester fallback that
+// Constrained sessions are engine-only. The batch-test fallback that
 // lets implicit sessions hold force-committed infeasible sets
 // (resolveLocked) has no constrained counterpart, so force commits are
 // refused, sessions cannot be created infeasible, and a removal the
@@ -75,8 +75,14 @@ func constrainedTask(t partfeas.Task, dl int64) dbf.Task {
 // freshConstrainedReport runs a fresh exact constrained first-fit solve
 // over the resident set at an ad-hoc alpha (the session engine's state
 // is only valid at the session alpha). Caller holds s.mu.
+//
+// On rejection FirstFit leaves unplaced the task it failed on and every
+// task after it in its own order (density descending, then deadline
+// ascending, then input index), so the failed task is the unplaced task
+// that order ranks first.
 func (s *session) freshConstrainedReport(alpha float64) (partfeas.Report, error) {
-	feasible, assignment, err := dbf.FirstFit(s.eng.ConstrainedTasks(), s.in.Platform, alpha, 0)
+	cs := s.eng.ConstrainedTasks()
+	feasible, assignment, err := dbf.FirstFit(cs, s.in.Platform, alpha, 0)
 	if err != nil {
 		return partfeas.Report{}, &httpError{code: http.StatusUnprocessableEntity, msg: err.Error()}
 	}
@@ -90,7 +96,10 @@ func (s *session) freshConstrainedReport(alpha float64) (partfeas.Report, error)
 	for i, j := range assignment {
 		if j >= 0 {
 			res.Loads[j] += s.in.Tasks[i].Utilization()
-		} else if res.FailedTask < 0 {
+			continue
+		}
+		if f := res.FailedTask; f < 0 || cs[i].Density() > cs[f].Density() ||
+			(cs[i].Density() == cs[f].Density() && cs[i].Deadline < cs[f].Deadline) {
 			res.FailedTask = i
 		}
 	}

@@ -145,6 +145,35 @@ func TestConstrainedSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestConstrainedAdHocFailedTask pins the ad-hoc-alpha witness of a
+// constrained session: failed_task names the task first-fit failed on in
+// its own (density-descending) order, not the first unplaced task in
+// input order. At alpha 0.5 the denser task 1 is tried first and fails,
+// so task 0 is never tried.
+func TestConstrainedAdHocFailedTask(t *testing.T) {
+	s := newTestServer(t)
+	w := do(t, s, "POST", "/v1/sessions",
+		`{"tasks":[{"wcet":1,"period":10,"deadline":10},{"wcet":6,"period":10,"deadline":10}],"speeds":[1],"deadline_model":"constrained"}`)
+	if w.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", w.Code, w.Body)
+	}
+	var st SessionResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	w = do(t, s, "POST", "/v1/sessions/"+st.ID+"/test", `{"alpha":0.5}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("ad-hoc test: %d %s", w.Code, w.Body)
+	}
+	var tr TestResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &tr); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Accepted || tr.FailedTask != 1 {
+		t.Fatalf("ad-hoc test: accepted=%v failed_task=%d, want rejected with failed_task 1", tr.Accepted, tr.FailedTask)
+	}
+}
+
 // TestConstrainedAdmissionMetrics asserts the per-tier admission
 // counters move under a constrained-deadline session: after a burst of
 // single admits the scrape must show nonzero decisions on the tier

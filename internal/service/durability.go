@@ -647,9 +647,10 @@ func (st *sessionStore) restoreSession(ss *sessionSnap) (*session, error) {
 		if ss.Constrained {
 			return nil, fmt.Errorf("constrained session snapshotted without an engine")
 		}
-		// Force-infeasible resident set: the batch path serves it.
-		s.tester, err = partfeas.NewTester(s.in.Tasks, s.in.Platform, s.in.Scheduler)
-		if err != nil {
+		// Force-infeasible resident set: the session restores disarmed.
+		// The snapshot is input from disk, so vet what the fallback will
+		// test.
+		if err := s.in.Validate(); err != nil {
 			return nil, err
 		}
 		return s, nil

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 
 	"partfeas"
@@ -166,11 +167,7 @@ func TestInfeasibleFallback(t *testing.T) {
 			}
 			sess.mu.Lock()
 			sess.eng = nil
-			sess.tester, err = partfeas.NewTester(sess.in.Tasks, sess.in.Platform, sess.in.Scheduler)
 			sess.mu.Unlock()
-			if err != nil {
-				t.Fatal(err)
-			}
 			armed("disarm", false)
 			a, b := partfeas.Task{WCET: 7, Period: 100}, partfeas.Task{WCET: 8, Period: 100}
 			post("regain batch", "/admit-batch", `{"tasks":[{"wcet":300,"period":100},{"wcet":7,"period":100},{"wcet":8,"period":100}]}`, &br)
@@ -200,5 +197,27 @@ func TestInfeasibleFallback(t *testing.T) {
 			}
 			armed("regain batch", true)
 		})
+	}
+}
+
+// TestDisarmedInvalidWCET pins the disarmed session's input check: a
+// WCET the task model forbids answers 400 naming the task, forced or
+// not, before the fallback's batch test runs, never a 500 from it.
+func TestDisarmedInvalidWCET(t *testing.T) {
+	s := newTestServer(t)
+	w := do(t, s, http.MethodPost, "/v1/sessions", `{"tasks":[{"wcet":30,"period":100}],"speeds":[1,2],"scheduler":"edf"}`)
+	var created SessionResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &created); err != nil || w.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", w.Code, w.Body)
+	}
+	base := "/v1/sessions/" + created.ID
+	if w := do(t, s, http.MethodPost, base+"/tasks", `{"task":{"wcet":300,"period":100},"force":true}`); w.Code != http.StatusOK {
+		t.Fatalf("force hog: %d %s", w.Code, w.Body)
+	}
+	for _, body := range []string{`{"index":0,"wcet":0}`, `{"index":0,"wcet":-5,"force":true}`} {
+		w := do(t, s, http.MethodPost, base+"/wcet", body)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "partfeas: invalid task set: task 0") {
+			t.Errorf("wcet %s: %d %s, want 400 naming task 0", body, w.Code, w.Body)
+		}
 	}
 }

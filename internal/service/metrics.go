@@ -64,16 +64,13 @@ type reqKey struct {
 
 // AdmissionPath classifies how a session admission was executed, as
 // reported by the engine's per-op stats: the end-of-order fast path, an
-// interior suffix replay, an explicit admit-batch request, or a group
-// of concurrent single admits the session coalesced into one merged
-// replay.
+// interior suffix replay, or an explicit admit-batch request.
 type AdmissionPath int
 
 const (
 	PathTail AdmissionPath = iota
 	PathInterior
 	PathBatch
-	PathCoalesced
 	// The tier paths classify constrained-deadline (DBF) admissions by
 	// the deepest tier that decided them: the O(1) density pre-filter,
 	// the approximate k-point demand band, or the exact processor-demand
@@ -94,8 +91,6 @@ func (p AdmissionPath) String() string {
 		return "interior"
 	case PathBatch:
 		return "batch"
-	case PathCoalesced:
-		return "coalesced"
 	case PathDensity:
 		return "density"
 	case PathDBFApprox:

@@ -17,24 +17,23 @@ import (
 )
 
 // session is one live admission-control session: a task set under
-// negotiation against a fixed platform and scheduler.
+// negotiation against a fixed platform and scheduler, plus the
+// incremental online.Engine that serves it.
 //
-// Every op has one body. Mutations are served by an incremental
-// online.Engine that keeps live per-machine load state, so an
-// admit/remove/update costs a suffix replay (typically O(log m)) instead
-// of a full re-solve. The session always calls the engine's
-// deadline-agnostic entry points (AdmitConstrained, AdmitBatchConstrained):
-// implicit tasks are the D = P case, so implicit and constrained-deadline
-// sessions share every op path, and the engine is the one copy of each
-// task's deadline. Explicit batches and coalesced single admits share one
-// batch body (admitBatchLocked).
+// Every op has one body. Mutations are served by the engine, which keeps
+// live per-machine load state, so an admit/remove/update costs a suffix
+// replay (typically O(log m)) instead of a full re-solve. The session
+// always calls the engine's deadline-agnostic entry points
+// (AdmitConstrained, AdmitBatchConstrained): implicit tasks are the D = P
+// case, so implicit and constrained-deadline sessions share every op
+// path, and the engine is the one copy of each task's deadline.
 //
 // The engine only represents feasible states. When an implicit session's
 // resident set turns infeasible — a force commit, or a removal the engine
-// refuses — the op goes through the session's one fallback,
-// resolveLocked: a fresh batch Tester re-solves the candidate set,
-// serves the session while it stays infeasible (eng == nil), and the
-// engine re-arms on the next feasible commit.
+// refuses — the engine disarms (eng == nil) and every op goes through the
+// session's one fallback, resolveLocked, which re-solves the candidate
+// set with the paper's batch test; the engine re-arms on the next
+// feasible commit.
 //
 // Placement is the engine's placement policy (online.Policy):
 // first_fit_sorted sessions stay byte-identical to the paper's fresh
@@ -52,8 +51,7 @@ type session struct {
 	in        partfeas.Instance
 	alpha     float64
 	placement online.Policy
-	eng       *online.Engine   // nil while the resident set is (force-)infeasible
-	tester    *partfeas.Tester // batch test of the resident set; set exactly while eng is nil
+	eng       *online.Engine // nil (disarmed) while the resident set is (force-)infeasible
 	closed    bool
 	mx        *Metrics    // per-path admission metrics; nil in bare tests
 	dur       *durability // WAL ack gate; nil without -data-dir (all calls nil-safe)
@@ -78,24 +76,6 @@ type session struct {
 	// fallback, so the engine is always armed, and force commits and
 	// repartition are refused.
 	constrained bool
-
-	// Admit coalescing: concurrent non-force single admits enqueue here
-	// and whichever request acquires s.mu next drains the whole queue as
-	// one merged engine batch (see addTask). pendMu is always acquired
-	// after s.mu or alone, never the other way around.
-	pendMu  sync.Mutex
-	pending []*admitWaiter
-}
-
-// admitWaiter is one queued single-task admission awaiting a coalesced
-// drain. done is closed by the draining request after resp/err are set.
-type admitWaiter struct {
-	ctx  context.Context
-	t    partfeas.Task
-	dl   int64 // relative deadline (0 = implicit) on constrained sessions
-	resp AdmissionResponse
-	err  error
-	done chan struct{}
 }
 
 // sessionStore owns the id → session map.
@@ -144,11 +124,11 @@ func (st *sessionStore) count() int {
 // the session before it exists); empty means the store assigns the next
 // "s-<n>".
 //
-// Implicit sessions may open infeasible: they just start on the batch
-// path. A constrained session has none, so a set the tiered pipeline
-// cannot place fails creation with 409, and a typed analysis error
-// (horizon or demand overflow) is surfaced rather than downgraded to a
-// verdict.
+// Implicit sessions may open infeasible: they just start disarmed, on
+// the fallback. A constrained session has none, so a set the tiered
+// pipeline cannot place fails creation with 409, and a typed analysis
+// error (horizon or demand overflow) is surfaced rather than downgraded
+// to a verdict.
 func (st *sessionStore) create(in partfeas.Instance, dls []int64, alpha float64, placement online.Policy, id string) (*session, error) {
 	defer st.dur.rlock()()
 	s := &session{
@@ -164,26 +144,21 @@ func (st *sessionStore) create(in partfeas.Instance, dls []int64, alpha float64,
 		mx:          st.mx,
 		dur:         st.dur,
 	}
-	if s.constrained {
-		if in.Scheduler != partfeas.EDF {
-			return nil, &httpError{code: http.StatusBadRequest, msg: "constrained-deadline sessions require the EDF scheduler"}
-		}
-		eng, err := online.NewEngine(s.in.Tasks, s.in.Platform, s.engineOptions(dls))
-		if err != nil {
-			code := http.StatusBadRequest
-			if errors.Is(err, online.ErrInfeasible) {
-				code = http.StatusConflict
-			}
-			return nil, &httpError{code: code, msg: fmt.Sprintf("constrained session: %v", err)}
-		}
+	if s.constrained && in.Scheduler != partfeas.EDF {
+		return nil, &httpError{code: http.StatusBadRequest, msg: "constrained-deadline sessions require the EDF scheduler"}
+	}
+	eng, err := online.NewEngine(s.in.Tasks, s.in.Platform, s.engineOptions(dls))
+	switch {
+	case err == nil:
 		s.eng = eng
-	} else {
-		tester, err := partfeas.NewTester(s.in.Tasks, s.in.Platform, s.in.Scheduler)
-		if err != nil {
-			return nil, &httpError{code: http.StatusBadRequest, msg: err.Error()}
-		}
-		s.tester = tester
-		s.armEngine()
+	case !s.constrained && errors.Is(err, online.ErrInfeasible):
+		// Opens disarmed, on the fallback.
+	case !s.constrained:
+		return nil, badRequest("%v", err)
+	case errors.Is(err, online.ErrInfeasible):
+		return nil, &httpError{code: http.StatusConflict, msg: fmt.Sprintf("constrained session: %v", err)}
+	default:
+		return nil, badRequest("constrained session: %v", err)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -413,42 +388,39 @@ func (s *session) engineOptions(dls []int64) online.Options {
 }
 
 // armEngine rebuilds an implicit session's engine over the current task
-// set, dropping the batch tester on success. On failure (the set is
-// infeasible at the session augmentation) the session stays on the batch
-// path. Caller holds s.mu (or sole ownership during create).
+// set. On failure (the set is infeasible at the session augmentation) the
+// session stays disarmed. Caller holds s.mu.
 func (s *session) armEngine() {
-	eng, err := online.NewEngine(s.in.Tasks, s.in.Platform, s.engineOptions(nil))
-	if err != nil {
-		return
+	if eng, err := online.NewEngine(s.in.Tasks, s.in.Platform, s.engineOptions(nil)); err == nil {
+		s.eng = eng
 	}
-	s.eng, s.tester = eng, nil
 }
 
 // resolveLocked is the one fallback for a resident set the engine cannot
-// hold; implicit sessions only, caller holds s.mu. A fresh batch Tester
-// over the candidate set becomes the session's test while the engine is
-// disarmed.
+// hold; implicit sessions only, caller holds s.mu. The candidate is
+// validated first, so a bad one answers 400 whether or not the engine is
+// armed.
 //
-// While the session is disarmed, the tester re-solves the candidate from
-// scratch at the session alpha: it commits when the test accepts it or
-// force is set, and the engine re-arms as soon as the committed set is
-// feasible. An armed engine has already refused cand (the caller is
-// forcing it), so its verdict stands: cand commits without a re-test and
-// the engine disarms; the returned Report is then empty and the caller
-// answers with the engine's witness.
+// While the session is disarmed, the paper's batch test re-solves the
+// candidate from scratch at the session alpha: it commits when the test
+// accepts it or force is set, and the engine re-arms as soon as the
+// committed set is feasible. An armed engine has already refused cand
+// (the caller is forcing it), so its verdict stands: cand commits without
+// a re-test and the engine disarms; the returned Report is then empty and
+// the caller answers with the engine's witness.
 func (s *session) resolveLocked(ctx context.Context, cand partfeas.TaskSet, force bool) (partfeas.Report, error) {
-	tester, err := partfeas.NewTester(cand, s.in.Platform, s.in.Scheduler)
-	if err != nil {
+	in := partfeas.Instance{Tasks: cand, Platform: s.in.Platform, Scheduler: s.in.Scheduler}
+	if err := in.Validate(); err != nil {
 		return partfeas.Report{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
 	}
 	var rep partfeas.Report
 	if s.eng == nil {
-		rep, err = tester.TestCtx(ctx, s.alpha)
-		if err != nil || !(rep.Accepted || force) {
+		var err error
+		if rep, err = partfeas.TestCtx(ctx, in, s.alpha); err != nil || !(rep.Accepted || force) {
 			return rep, err
 		}
 	}
-	s.in.Tasks, s.eng, s.tester = cand, nil, tester
+	s.in.Tasks, s.eng = cand, nil
 	if rep.Accepted {
 		s.armEngine()
 	}
@@ -477,10 +449,10 @@ func (s *session) engReport(res partition.Result) partfeas.Report {
 }
 
 // currentReport answers "test the resident set at the session alpha"
-// from the engine when armed, else from the batch tester.
+// from the engine when armed, else from a fresh batch test.
 func (s *session) currentReport(ctx context.Context) (partfeas.Report, error) {
 	if s.eng == nil {
-		return s.tester.TestCtx(ctx, s.alpha)
+		return partfeas.TestCtx(ctx, s.in, s.alpha)
 	}
 	if err := ctxGuard(ctx); err != nil {
 		return partfeas.Report{}, err
@@ -553,97 +525,15 @@ func (s *session) test(ctx context.Context, alpha float64) (TestResponse, error)
 
 // addTask tentatively admits one more task: committed only on acceptance
 // (or force). The armed engine answers incrementally; a force-committed
-// rejection drops to the batch path until the set is feasible again.
-//
-// Non-force admits coalesce opportunistically: the request enqueues its
-// task, then takes the session lock; whichever request gets the lock
-// first drains every queued admit as one merged engine batch (best-
-// effort semantics, identical verdicts to admitting them in queue
-// order) and completes the others' responses. Under contention n
-// queued interior admits cost one suffix replay instead of n; with no
-// contention the queue holds a single entry and the plain path runs.
+// rejection disarms it until the set is feasible again.
 func (s *session) addTask(ctx context.Context, t partfeas.Task, dl int64, force bool) (AdmissionResponse, error) {
 	defer s.dur.rlock()()
 	if err := s.checkDeadlineArg(dl, t.Period, force); err != nil {
 		return AdmissionResponse{}, err
 	}
-	if force {
-		// Force commits can disarm the engine mid-group; keep them out
-		// of coalesced batches. They serialize on s.mu like everything
-		// else, so verdict linearizability is unaffected.
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.addTaskLocked(ctx, t, dl, true)
-	}
-	w := &admitWaiter{ctx: ctx, t: t, dl: dl, done: make(chan struct{})}
-	s.pendMu.Lock()
-	s.pending = append(s.pending, w)
-	s.pendMu.Unlock()
 	s.mu.Lock()
-	s.pendMu.Lock()
-	group := s.pending
-	s.pending = nil
-	s.pendMu.Unlock()
-	s.drainAdmits(group) // may be empty, may not include w, may be w alone
-	s.mu.Unlock()
-	<-w.done // completed by this drain or an earlier one
-	return w.resp, w.err
-}
-
-// drainAdmits serves a coalesced group of queued single admits; the
-// caller holds s.mu. A singleton group runs the plain single-admit
-// path; larger groups run the batch body once in queue order and share
-// the group's final state as their test response (each verdict still
-// equals what a sequential admit at that queue position would have
-// answered).
-func (s *session) drainAdmits(group []*admitWaiter) {
-	live := group[:0]
-	for _, w := range group {
-		if w.err = s.guard(); w.err == nil {
-			w.err = ctxGuard(w.ctx)
-		}
-		if w.err != nil {
-			close(w.done)
-			continue
-		}
-		live = append(live, w)
-	}
-	if len(live) == 0 {
-		return
-	}
-	if len(live) == 1 || s.eng == nil {
-		// No useful merge: the plain path answers each waiter (and keeps
-		// single-admit witness semantics and tail/interior metrics).
-		for _, w := range live {
-			w.resp, w.err = s.addTaskLocked(w.ctx, w.t, w.dl, false)
-			close(w.done)
-		}
-		return
-	}
-	// The coalesced group commits as one logged best-effort batch: replay
-	// admits the same tasks in the same queue order through the batch
-	// body, which the engine keeps verdict-identical to sequential
-	// admission.
-	ts := make([]partfeas.Task, len(live))
-	dls := make([]int64, len(live))
-	for i, w := range live {
-		ts[i], dls[i] = w.t, w.dl
-	}
-	// The batch answers every waiter, so no one waiter's cancellation may
-	// abort it.
-	ctx := context.WithoutCancel(live[0].ctx)
-	resp, err := s.admitBatchLocked(ctx, ts, dls, online.BestEffort, PathCoalesced)
-	for i, w := range live {
-		if w.err = err; err == nil {
-			w.resp = AdmissionResponse{
-				Admitted:   resp.Admitted[i],
-				RolledBack: !resp.Admitted[i],
-				NTasks:     resp.NTasks,
-				Test:       resp.Test,
-			}
-		}
-		close(w.done)
-	}
+	defer s.mu.Unlock()
+	return s.addTaskLocked(ctx, t, dl, force)
 }
 
 // addTaskLocked is the single-admit body; the caller holds s.mu. The op
@@ -747,20 +637,19 @@ func (s *session) addTaskBatch(ctx context.Context, ts []partfeas.Task, dls []in
 	if err := ctxGuard(ctx); err != nil {
 		return BatchAdmissionResponse{}, err
 	}
-	return s.admitBatchLocked(ctx, ts, dls, mode, PathBatch)
+	return s.admitBatchLocked(ctx, ts, dls, mode)
 }
 
-// admitBatchLocked is the one batch body, shared by explicit batches and
-// coalesced single admits; the caller holds s.mu and has run the guards.
-// It logs the op, then runs the batch through the armed engine — one
-// merged suffix replay — and records its latency under the caller's
-// path label (once per task for coalesced groups). While the resident
-// set is infeasible the batch goes through resolveLocked instead: one
-// union test decides an all-or-nothing batch (which then degenerates to
-// reject-all, since adding tasks cannot restore feasibility), and a
-// best-effort batch tests each task in order against the then-current
-// set until feasibility returns, when the engine finishes the rest.
-func (s *session) admitBatchLocked(ctx context.Context, ts []partfeas.Task, dls []int64, mode online.BatchMode, path AdmissionPath) (BatchAdmissionResponse, error) {
+// admitBatchLocked is the batch body; the caller holds s.mu and has run
+// the guards. It logs the op, then runs the batch through the armed
+// engine — one merged suffix replay — and records its latency. While the
+// resident set is infeasible the batch goes through resolveLocked
+// instead: one union test decides an all-or-nothing batch (which then
+// degenerates to reject-all, since adding tasks cannot restore
+// feasibility), and a best-effort batch tests each task in order against
+// the then-current set until feasibility returns, when the engine
+// finishes the rest.
+func (s *session) admitBatchLocked(ctx context.Context, ts []partfeas.Task, dls []int64, mode online.BatchMode) (BatchAdmissionResponse, error) {
 	op := &oplog.Op{
 		Type: oplog.TypeAdmitBatch, Session: s.id,
 		BatchMode: mode.String(),
@@ -781,13 +670,7 @@ func (s *session) admitBatchLocked(ctx context.Context, ts []partfeas.Task, dls 
 		}
 		if s.mx != nil {
 			d := time.Since(start)
-			n := 1
-			if path == PathCoalesced {
-				n = len(ts) // one observation per coalesced admit
-			}
-			for ; n > 0; n-- {
-				s.mx.AdmissionObserved(path, d)
-			}
+			s.mx.AdmissionObserved(PathBatch, d)
 			s.observeTier(d)
 		}
 		return s.batchResponse(mode, admitted, s.engReport(res)), nil
