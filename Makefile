@@ -72,19 +72,22 @@ clustersmoke:
 		-run 'Ring|Cluster|Migrat' \
 		./internal/cluster ./internal/service
 
-## fuzz: short smokes of the partition-engine invariant fuzzer and the
-## rational arithmetic differential fuzzer (covers the Add/Cmp fast paths).
+## fuzz: short smokes of the partition-engine invariant fuzzer, the
+## rational arithmetic differential fuzzer (covers the Add/Cmp fast paths)
+## and the service's wire encoder against encoding/json.
 fuzz:
 	$(GO) test ./internal/partition -run Fuzz -fuzz=FuzzPartitionInvariants -fuzztime=10s
 	$(GO) test ./internal/rational -run Fuzz -fuzz=FuzzArithmetic -fuzztime=5s
+	$(GO) test ./internal/service -run Fuzz -fuzz=FuzzWireEncoding -fuzztime=5s
 
-## bench: record the engine, WAL, arena and cluster benchmark suites to
-## the next results/BENCH_<n+1>.json, gated against the newest recorded
-## results/BENCH_<n>.json — the gate fails if any recorded benchmark
-## slows by more than 25%; new benchmarks pass through as additions.
+## bench: record the engine, WAL, service (handler ladder row L3), arena
+## and cluster benchmark suites to the next results/BENCH_<n+1>.json,
+## gated against the newest recorded results/BENCH_<n>.json — the gate
+## fails if any recorded benchmark slows by more than 25%; new benchmarks
+## pass through as additions.
 bench:
 	@last=$$(ls results/BENCH_*.json | sed 's/[^0-9]//g' | sort -n | tail -1); \
-	$(GO) run ./cmd/benchjson -pkg "./internal/online ./internal/oplog ./internal/arena ./internal/cluster" \
+	$(GO) run ./cmd/benchjson -pkg "./internal/online ./internal/oplog ./internal/service ./internal/arena ./internal/cluster" \
 		-benchtime 0.3s -baseline results/BENCH_$$last.json -max-regress 0.25 \
 		-o results/BENCH_$$((last + 1)).json
 

@@ -141,7 +141,7 @@ func (c *Coordinator) routes() http.Handler {
 	mux.HandleFunc("POST /v1/cluster/migrate", c.handleMigrate)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "role": "coordinator"})
+		service.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "role": "coordinator"})
 	})
 	mux.Handle("/", c.local.Handler())
 	return mux
@@ -155,7 +155,7 @@ func (c *Coordinator) routes() http.Handler {
 // is honored.
 func (c *Coordinator) handleSessionsRoot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, service.ErrorResponse{Error: "method not allowed"})
+		service.WriteJSON(w, http.StatusMethodNotAllowed, service.ErrorResponse{Error: "method not allowed"})
 		return
 	}
 	id := r.Header.Get("X-Session-ID")
@@ -175,7 +175,7 @@ func (c *Coordinator) handleSessionPath(w http.ResponseWriter, r *http.Request) 
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/sessions/")
 	id, _, _ := strings.Cut(rest, "/")
 	if id == "" {
-		writeJSON(w, http.StatusNotFound, service.ErrorResponse{Error: "missing session id"})
+		service.WriteJSON(w, http.StatusNotFound, service.ErrorResponse{Error: "missing session id"})
 		return
 	}
 	c.forward(w, r, id)
@@ -203,18 +203,18 @@ const forwardAttempts = 5
 func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, id string) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<26))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: fmt.Sprintf("reading request body: %v", err)})
+		service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: fmt.Sprintf("reading request body: %v", err)})
 		return
 	}
 	replica := c.routeFor(id)
 	if replica == "" {
-		writeJSON(w, http.StatusServiceUnavailable, service.ErrorResponse{Error: "no replicas in the ring"})
+		service.WriteJSON(w, http.StatusServiceUnavailable, service.ErrorResponse{Error: "no replicas in the ring"})
 		return
 	}
 	for attempt := 0; ; attempt++ {
 		res, err := c.send(r, replica, body)
 		if err != nil {
-			writeJSON(w, http.StatusBadGateway, service.ErrorResponse{Error: fmt.Sprintf("replica %s: %v", replica, err)})
+			service.WriteJSON(w, http.StatusBadGateway, service.ErrorResponse{Error: fmt.Sprintf("replica %s: %v", replica, err)})
 			return
 		}
 		if attempt < forwardAttempts {
@@ -229,7 +229,7 @@ func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, id string)
 				}
 				// A tombstone without a known owner (or pointing at
 				// ourselves) is the final answer.
-				writeJSON(w, http.StatusMisdirectedRequest, service.ErrorResponse{Error: fmt.Sprintf("session %q moved from %s with no reachable owner", id, replica)})
+				service.WriteJSON(w, http.StatusMisdirectedRequest, service.ErrorResponse{Error: fmt.Sprintf("session %q moved from %s with no reachable owner", id, replica)})
 				return
 			}
 			if res.StatusCode == http.StatusServiceUnavailable && res.Header.Get("X-Migration") != "" {
@@ -539,7 +539,7 @@ func (c *Coordinator) Status() ClusterStatus {
 }
 
 func (c *Coordinator) handleClusterStatus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, c.Status())
+	service.WriteJSON(w, http.StatusOK, c.Status())
 }
 
 type memberRequest struct {
@@ -558,10 +558,10 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	moved, err := c.Join(r.Context(), req.Replica)
 	if err != nil {
-		writeJSON(w, http.StatusBadGateway, service.ErrorResponse{Error: fmt.Sprintf("joined; rebalance incomplete: %v", err)})
+		service.WriteJSON(w, http.StatusBadGateway, service.ErrorResponse{Error: fmt.Sprintf("joined; rebalance incomplete: %v", err)})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"joined": req.Replica, "moved": moved})
+	service.WriteJSON(w, http.StatusOK, map[string]any{"joined": req.Replica, "moved": moved})
 }
 
 func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
@@ -571,19 +571,19 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	}
 	moved, err := c.Leave(r.Context(), req.Replica)
 	if err != nil {
-		writeJSON(w, http.StatusBadGateway, service.ErrorResponse{Error: fmt.Sprintf("drain incomplete: %v", err)})
+		service.WriteJSON(w, http.StatusBadGateway, service.ErrorResponse{Error: fmt.Sprintf("drain incomplete: %v", err)})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"left": req.Replica, "moved": moved})
+	service.WriteJSON(w, http.StatusOK, map[string]any{"left": req.Replica, "moved": moved})
 }
 
 func (c *Coordinator) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	moved, err := c.Rebalance(r.Context())
 	if err != nil {
-		writeJSON(w, http.StatusBadGateway, service.ErrorResponse{Error: fmt.Sprintf("rebalance incomplete after %d move(s): %v", moved, err)})
+		service.WriteJSON(w, http.StatusBadGateway, service.ErrorResponse{Error: fmt.Sprintf("rebalance incomplete after %d move(s): %v", moved, err)})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"moved": moved})
+	service.WriteJSON(w, http.StatusOK, map[string]any{"moved": moved})
 }
 
 // handleMigrate moves one session to an explicit replica (operator
@@ -594,31 +594,31 @@ func (c *Coordinator) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.ID == "" {
-		writeJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: "id is required"})
+		service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: "id is required"})
 		return
 	}
 	holder := c.routeFor(req.ID)
 	if holder == "" {
-		writeJSON(w, http.StatusServiceUnavailable, service.ErrorResponse{Error: "no replicas in the ring"})
+		service.WriteJSON(w, http.StatusServiceUnavailable, service.ErrorResponse{Error: "no replicas in the ring"})
 		return
 	}
 	if holder == req.Target {
-		writeJSON(w, http.StatusOK, map[string]any{"migrated": false, "already_on": holder})
+		service.WriteJSON(w, http.StatusOK, map[string]any{"migrated": false, "already_on": holder})
 		return
 	}
 	if err := c.migrate(r.Context(), holder, req.ID, req.Target); err != nil {
-		writeJSON(w, http.StatusBadGateway, service.ErrorResponse{Error: fmt.Sprintf("migrating %s %s→%s: %v", req.ID, holder, req.Target, err)})
+		service.WriteJSON(w, http.StatusBadGateway, service.ErrorResponse{Error: fmt.Sprintf("migrating %s %s→%s: %v", req.ID, holder, req.Target, err)})
 		return
 	}
 	c.noteOverride(req.ID, req.Target)
-	writeJSON(w, http.StatusOK, map[string]any{"migrated": true, "from": holder, "to": req.Target})
+	service.WriteJSON(w, http.StatusOK, map[string]any{"migrated": true, "from": holder, "to": req.Target})
 }
 
 func decodeAdmin[T any](w http.ResponseWriter, r *http.Request, dst *T) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: fmt.Sprintf("decoding request: %v", err)})
+		service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: fmt.Sprintf("decoding request: %v", err)})
 		return false
 	}
 	return true
@@ -628,7 +628,7 @@ func validReplica(w http.ResponseWriter, url string) bool {
 	if strings.HasPrefix(url, "http://") || strings.HasPrefix(url, "https://") {
 		return true
 	}
-	writeJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: fmt.Sprintf("replica %q must be a base URL", url)})
+	service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: fmt.Sprintf("replica %q must be a base URL", url)})
 	return false
 }
 
@@ -666,12 +666,6 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# TYPE partfeas_degraded_passthrough_total counter\n")
 	fmt.Fprintf(w, "partfeas_degraded_passthrough_total %d\n", st.DegradedPassthrough)
 	c.local.Metrics().WritePrometheus(w)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // ---- lifecycle ----

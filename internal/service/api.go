@@ -130,7 +130,9 @@ type TestResponse struct {
 
 // TestResponseFrom builds the wire response for a library Report. The
 // slices are deep-copied, so the response stays valid after the Report's
-// backing Tester answers its next query.
+// backing Tester or session engine answers its next query. That copy is
+// what lets a session op release s.mu before WriteJSON encodes the
+// response: encoding never runs under the session lock.
 func TestResponseFrom(rep partfeas.Report) TestResponse {
 	resp := TestResponse{
 		Accepted:   rep.Accepted,

@@ -77,7 +77,7 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("POST /internal/v1/migration/commit", s.wrap("/internal/v1/migration/commit", s.handleMigrateCommit))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.Handle("GET /debug/vars", expvar.Handler())
 	return mux
@@ -96,7 +96,7 @@ func (s *Server) wrap(endpoint string, fn func(w http.ResponseWriter, r *http.Re
 			if v := recover(); v != nil {
 				code = http.StatusInternalServerError
 				s.logf("service: panic serving %s: %v\n%s", endpoint, v, debug.Stack())
-				writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf("internal error: %v", v)})
+				WriteJSON(w, code, ErrorResponse{Error: fmt.Sprintf("internal error: %v", v)})
 			}
 			s.metrics.RequestDone(endpoint, code, time.Since(start))
 		}()
@@ -115,7 +115,7 @@ func (s *Server) wrap(endpoint string, fn func(w http.ResponseWriter, r *http.Re
 					w.Header().Set("X-Migration", "in-progress")
 				}
 			}
-			writeJSON(w, code, ErrorResponse{Error: err.Error()})
+			WriteJSON(w, code, ErrorResponse{Error: err.Error()})
 			return
 		}
 		if st != 0 {
@@ -125,7 +125,7 @@ func (s *Server) wrap(endpoint string, fn func(w http.ResponseWriter, r *http.Re
 			w.WriteHeader(code)
 			return
 		}
-		writeJSON(w, code, resp)
+		WriteJSON(w, code, resp)
 	}
 }
 
@@ -145,13 +145,6 @@ func (s *Server) statusFor(r *http.Request, err error) int {
 		return http.StatusGatewayTimeout
 	}
 	return http.StatusInternalServerError
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
 }
 
 // decode reads a strict JSON body (unknown fields rejected, 1 MiB cap).

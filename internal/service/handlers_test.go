@@ -37,7 +37,7 @@ func doCtx(t testing.TB, s *Server, ctx context.Context, method, path, body stri
 	return w
 }
 
-// encode marshals exactly like the server's writeJSON (Encoder appends a
+// encode marshals exactly like the server's WriteJSON (Encoder appends a
 // newline), so bodies compare byte-for-byte.
 func encode(t testing.TB, v any) string {
 	t.Helper()

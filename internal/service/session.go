@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -783,9 +784,8 @@ func (s *session) removeTask(ctx context.Context, idx int) (AdmissionResponse, e
 		return AdmissionResponse{}, err
 	}
 	ctx = s.dur.applyCtx(ctx)
-	cand := append(s.in.Tasks[:idx].Clone(), s.in.Tasks[idx+1:]...)
 	if s.eng == nil {
-		rep, err := s.resolveLocked(ctx, cand, true)
+		rep, err := s.resolveLocked(ctx, without(s.in.Tasks, idx), true)
 		if err != nil {
 			return AdmissionResponse{}, err
 		}
@@ -798,11 +798,13 @@ func (s *session) removeTask(ctx context.Context, idx int) (AdmissionResponse, e
 	resp := AdmissionResponse{Admitted: ok, Test: TestResponseFrom(s.engReport(res))}
 	switch {
 	case ok:
-		s.in.Tasks = cand
+		// The engine holds its own copy of the tasks, so the session's
+		// slice is deleted from in place.
+		s.in.Tasks = slices.Delete(s.in.Tasks, idx, idx+1)
 	case s.constrained:
 		resp.RolledBack = true
 	default:
-		if _, err := s.resolveLocked(ctx, cand, true); err != nil {
+		if _, err := s.resolveLocked(ctx, without(s.in.Tasks, idx), true); err != nil {
 			return AdmissionResponse{}, err
 		}
 	}
@@ -857,6 +859,12 @@ func (s *session) updateWCET(ctx context.Context, idx int, wcet int64, force boo
 	}
 	resp.NTasks = len(s.in.Tasks)
 	return resp, nil
+}
+
+// without is a fresh copy of ts minus task idx: the candidate for a
+// removal the engine does not commit.
+func without(ts partfeas.TaskSet, idx int) partfeas.TaskSet {
+	return append(ts[:idx].Clone(), ts[idx+1:]...)
 }
 
 // withWCET is a copy of ts with task idx's WCET replaced.
