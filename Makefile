@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: ci vet build test race faultsmoke servesmoke loadsmoke crashsmoke arenasmoke clustersmoke fuzz bench benchsmoke benchmod
+.PHONY: ci vet build test race faultsmoke servesmoke crashsmoke arenasmoke clustersmoke fuzz bench benchsmoke benchmod
 
 ## ci: the full verification gate — vet, build, unit tests, race detector,
-## the fault-injection matrix, the admission-server smoke, an open-loop
-## load-generator smoke, the durability crash-recovery smoke, the policy
-## arena smoke, a short fuzz smoke of the partition invariants, a
-## one-iteration benchmark smoke (catches benchmarks whose setup asserts
-## fail), and the benchmark module's own vet and tests.
-ci: vet build test race faultsmoke servesmoke loadsmoke crashsmoke arenasmoke clustersmoke fuzz benchsmoke benchmod
+## the fault-injection matrix, the admission-server smoke, the durability
+## crash-recovery smoke, the policy arena smoke, the cluster suite with
+## its full-stack oracle test (TestClusterOracle), a short fuzz smoke of
+## the partition invariants, a one-iteration benchmark smoke (catches
+## benchmarks whose setup asserts fail), and the benchmark module's own
+## vet and tests.
+ci: vet build test race faultsmoke servesmoke crashsmoke arenasmoke clustersmoke fuzz benchsmoke benchmod
 
 vet:
 	$(GO) vet ./...
@@ -38,12 +39,6 @@ faultsmoke:
 servesmoke:
 	$(GO) test -race -timeout 120s -count=1 ./internal/service ./cmd/serve
 
-## loadsmoke: a short open-loop Poisson run against an in-process server.
-## Every request in the mix answers 200 on a healthy server, so loadgen's
-## default -max-errors 0 makes any error a nonzero exit.
-loadsmoke:
-	$(GO) run ./cmd/loadgen -rate 400 -duration 2s -clients 8
-
 ## crashsmoke: the durability matrix under the race detector, -short
 ## subset — WAL torn-write corpus, injected crash points in append /
 ## fsync / rotate / snapshot / replay, byte-identical recovery, degraded
@@ -64,9 +59,12 @@ arenasmoke:
 ## clustersmoke: the sharded-cluster suite under the race detector — the
 ## consistent-hash ring properties (golden mapping, uniformity,
 ## bounded relocation), the epoch-fenced migration determinism and
-## crash matrix, and an in-process 3-replica cluster behind a
-## coordinator with one forced migration and one replica crash + WAL
-## restart.
+## crash matrix, the coordinator's routing tests, and TestClusterOracle:
+## seeded op scripts through a coordinator over 3 durable replicas, with
+## forced migrations, a rebalance and replica crash-restarts between
+## ops, every response byte-compared against a reference server that is
+## never crashed or migrated, then a replica crash under concurrent load
+## after which every session must still answer.
 clustersmoke:
 	$(GO) test -race -timeout 180s -count=1 \
 		-run 'Ring|Cluster|Migrat' \

@@ -1,9 +1,8 @@
 // Package benchfmt is the repository's benchmark interchange format:
 // parsing of `go test -bench` output lines, the JSON suite document the
 // results/BENCH_N.json files carry, and baseline comparison so a later
-// run can gate on regressions against an earlier one. It is shared by
-// cmd/benchjson (which produces the files) and cmd/loadgen (which
-// records load-test latencies in the same shape).
+// run can gate on regressions against an earlier one. cmd/benchjson
+// produces the files with it.
 package benchfmt
 
 import (

@@ -23,16 +23,27 @@ type testReplica struct {
 }
 
 // startReplica boots one admission replica on an ephemeral loopback
-// port. Durable replicas pin the bound port in cfg so a restart after
-// Crash comes back at the same URL.
+// port; durable replicas fsync every append and never snapshot on their
+// own.
 func startReplica(t testing.TB, durable bool) *testReplica {
 	t.Helper()
-	cfg := service.Config{Addr: "127.0.0.1:0", Logf: t.Logf}
-	var srv *service.Server
+	cfg := service.Config{Logf: t.Logf}
 	if durable {
 		cfg.DataDir = t.TempDir()
 		cfg.FsyncInterval = -1
 		cfg.SnapshotEvery = -1
+	}
+	return bootReplica(t, cfg)
+}
+
+// bootReplica starts a replica from cfg on an ephemeral loopback port,
+// durable when cfg.DataDir is set. Durable replicas pin the bound port in
+// cfg so a restart after Crash comes back at the same URL.
+func bootReplica(t testing.TB, cfg service.Config) *testReplica {
+	t.Helper()
+	cfg.Addr = "127.0.0.1:0"
+	var srv *service.Server
+	if cfg.DataDir != "" {
 		var err error
 		srv, err = service.NewDurable(cfg)
 		if err != nil {

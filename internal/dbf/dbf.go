@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"partfeas/internal/machine"
@@ -136,8 +137,11 @@ func (s Set) ApproxDBF(t int64, k int) float64 {
 		if t < tk.Deadline {
 			continue
 		}
-		switchPoint := tk.Deadline + int64(k-1)*tk.Period
-		if t < switchPoint {
+		// t lies before the switch point D + (k−1)·P iff t − D < (k−1)·P;
+		// the product is taken in 128 bits so a switch point past int64
+		// range never wraps.
+		hi, lo := bits.Mul64(uint64(k-1), uint64(tk.Period))
+		if hi != 0 || uint64(t-tk.Deadline) < lo {
 			jobs := (t-tk.Deadline)/tk.Period + 1
 			demand += float64(jobs * tk.WCET)
 		} else {
@@ -259,7 +263,14 @@ func checkDemand(s Set, speed float64, horizon int64) (bool, error) {
 			return false, nil
 		}
 		for i, tk := range s {
-			if next[i] == t {
+			if next[i] != t {
+				continue
+			}
+			if next[i] > math.MaxInt64-tk.Period {
+				// The next deadline lies past int64 range, so past the
+				// horizon: this task's stream ends.
+				next[i] = math.MaxInt64
+			} else {
 				next[i] += tk.Period
 			}
 		}
@@ -273,7 +284,9 @@ func checkDemand(s Set, speed float64, horizon int64) (bool, error) {
 // ApproxFeasibleEDF is the k-step approximate test: it checks the exact
 // demand at each task's first k deadlines and the linear bound beyond.
 // It never accepts an infeasible set (ApproxDBF ≥ DBF); it may reject
-// feasible sets by a factor at most (1 + 1/k) in speed.
+// feasible sets by a factor at most (1 + 1/k) in speed. Checkpoints past
+// int64 range are skipped only when linearBoundHolds proves they pass;
+// otherwise the answer is ErrHorizonTooLarge.
 func ApproxFeasibleEDF(s Set, speed float64, k int) (bool, error) {
 	if err := s.Validate(); err != nil {
 		return false, err
@@ -292,10 +305,23 @@ func ApproxFeasibleEDF(s Set, speed float64, k int) (bool, error) {
 	// approximate dbf is linear with slope ≤ Σw ≤ speed, so if it holds
 	// at every switch point it holds forever).
 	var points []int64
+	beyond := false
 	for _, t := range s {
+		p := t.Deadline
 		for j := 0; j < k; j++ {
-			points = append(points, t.Deadline+int64(j)*t.Period)
+			points = append(points, p)
+			if j == k-1 {
+				break
+			}
+			if p > math.MaxInt64-t.Period {
+				beyond = true // the remaining points lie past int64 range
+				break
+			}
+			p += t.Period
 		}
+	}
+	if beyond && !linearBoundHolds(s, speed) {
+		return false, ErrHorizonTooLarge
 	}
 	sort.Slice(points, func(a, b int) bool { return points[a] < points[b] })
 	for _, t := range points {
@@ -304,6 +330,24 @@ func ApproxFeasibleEDF(s Set, speed float64, k int) (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// linearBoundHolds reports whether the approximate test may skip every
+// checkpoint past int64 range. Each task contributes at most
+// C + w·(t − D) to ApproxDBF(t) at any t ≥ 0: exactly that past its
+// switch point, a step value j·C ≤ C + w·(t − D) before it, and
+// 0 ≤ C − w·D ≤ C + w·(t − D) for t < D (D ≤ P gives w·D ≤ C). So
+// ApproxDBF(t) ≤ L(t) = Σ(C − w·D) + U·t.
+// The caller has established U ≤ speed·(1+1e-12), so
+// L(t) − speed·t·(1+1e-12) never increases with t: if L passes at
+// t = 2^63, every checkpoint past int64 range passes too.
+func linearBoundHolds(s Set, speed float64) bool {
+	const t = float64(1 << 63)
+	l := 0.0
+	for _, tk := range s {
+		l += float64(tk.WCET) + tk.Utilization()*(t-float64(tk.Deadline))
+	}
+	return l <= speed*t*(1+1e-12)
 }
 
 // FirstFit runs the paper's partitioning algorithm with DBF admission:

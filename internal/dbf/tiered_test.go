@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"partfeas/internal/machine"
 )
 
 func randConstrained(rng *rand.Rand, maxP int64) Task {
@@ -130,6 +132,52 @@ func TestFeasibleEDFHyperperiodOverflow(t *testing.T) {
 	speed := t1.Utilization() + t2.Utilization()
 	if _, err := FeasibleEDF(Set{t1, t2}, speed); !errors.Is(err, ErrHorizonTooLarge) {
 		t.Fatalf("err = %v, want ErrHorizonTooLarge", err)
+	}
+}
+
+// TestCheckpointsNeverWrap pins the checkpoint arithmetic at the top of
+// int64 range: a next deadline D + j·P past MaxInt64 must neither wrap
+// into a negative checkpoint (a spurious reject) nor be skipped without
+// proof that it passes.
+func TestCheckpointsNeverWrap(t *testing.T) {
+	huge := Task{WCET: 1, Deadline: 1 << 61, Period: 1 << 61}
+	// The linear bound fails at 2^63 although every in-range checkpoint
+	// passes, so the approximate test cannot decide this set.
+	undecided := Set{
+		{WCET: 259585244101544188, Deadline: 264526820096773102, Period: 474002701675684921},
+		{WCET: 2763628529117733046, Deadline: 4208644980604444440, Period: 6109713360981206363},
+	}
+	cases := []struct {
+		name    string
+		run     func() (bool, error)
+		want    bool
+		wantErr error
+	}{
+		{"exact/stream ends past int64", func() (bool, error) {
+			return FeasibleEDF(Set{{WCET: 1, Deadline: 10, Period: math.MaxInt64}}, 1)
+		}, true, nil},
+		{"tiered/agrees with exact", func() (bool, error) {
+			ok, _, err := TieredFeasibleEDF(Set{{WCET: 1, Deadline: 10, Period: math.MaxInt64}}, 1, 8)
+			return ok, err
+		}, true, nil},
+		{"approx/k=8 points past int64", func() (bool, error) {
+			return ApproxFeasibleEDF(Set{huge}, 1, 8)
+		}, true, nil},
+		{"approx/first-fit k=8", func() (bool, error) {
+			ok, _, err := FirstFit(Set{huge}, machine.New(1), 1, 8)
+			return ok, err
+		}, true, nil},
+		{"approx/unprovable skip", func() (bool, error) {
+			return ApproxFeasibleEDF(undecided, undecided.TotalUtilization(), 3)
+		}, false, ErrHorizonTooLarge},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := tc.run()
+			if !errors.Is(err, tc.wantErr) || got != tc.want {
+				t.Fatalf("got (%v, %v), want (%v, %v)", got, err, tc.want, tc.wantErr)
+			}
+		})
 	}
 }
 

@@ -293,8 +293,7 @@ func (d *durability) Close() error {
 
 // crash abandons the layer without flushing or snapshotting — exactly
 // the on-disk state a process kill leaves behind. For the crash-matrix
-// tests and loadgen's kill/restart mode; the store must not be used
-// afterwards.
+// and cluster oracle tests; the store must not be used afterwards.
 func (d *durability) crash() {
 	if d == nil {
 		return

@@ -150,8 +150,8 @@ func (s *Server) Close() error {
 
 // Crash abandons the durability layer without the final fsync or
 // snapshot, simulating a process kill: records whose write syscalls
-// completed survive, buffered fsync state is lost. Test and loadgen
-// hook; a production server should use Close.
+// completed survive, buffered fsync state is lost. A test hook; a
+// production server should use Close.
 func (s *Server) Crash() {
 	s.dur.crash()
 }
