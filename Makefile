@@ -2,17 +2,19 @@ GO ?= go
 
 .PHONY: ci vet build test race faultsmoke servesmoke crashsmoke arenasmoke clustersmoke fuzz bench benchsmoke benchmod
 
-## ci: the full verification gate — vet, build, unit tests, race detector,
-## the fault-injection matrix, the admission-server smoke, the durability
-## crash-recovery smoke, the policy arena smoke, the cluster suite with
+## ci: the full verification gate — vet and the gofmt gate, build, unit
+## tests, race detector, the fault-injection matrix, the admission-server
+## smoke, the durability crash-recovery smoke, the policy arena smoke, the cluster suite with
 ## its full-stack oracle test (TestClusterOracle), a short fuzz smoke of
 ## the partition invariants, a one-iteration benchmark smoke (catches
 ## benchmarks whose setup asserts fail), and the benchmark module's own
 ## vet and tests.
 ci: vet build test race faultsmoke servesmoke crashsmoke arenasmoke clustersmoke fuzz benchsmoke benchmod
 
+## vet: go vet, plus a gofmt gate that fails on any unformatted file.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -33,7 +35,7 @@ faultsmoke:
 
 ## servesmoke: the admission-control server end to end under the race
 ## detector — ephemeral port, concurrent clients byte-compared against
-## direct library calls, mid-flight client hang-up, cache-hit metrics,
+## direct library calls, mid-flight client hang-up, request metrics,
 ## graceful drain and goroutine-leak checks, plus the session/handler
 ## suites and the command's own SIGINT drain test.
 servesmoke:

@@ -1,7 +1,7 @@
 // Command serve runs the partfeas admission-control server: the paper's
-// feasibility tests behind a JSON-over-HTTP API with a sharded
-// reusable-tester cache, stateful admission sessions, per-request
-// deadlines and a Prometheus-text /metrics endpoint.
+// feasibility tests behind a JSON-over-HTTP API with stateful admission
+// sessions, per-request deadlines and a Prometheus-text /metrics
+// endpoint.
 //
 // Usage:
 //
@@ -65,9 +65,6 @@ func main() {
 		timeout  = flag.Duration("timeout", 30*time.Second, "default per-request deadline (requests may lower it via timeout_ms)")
 		maxTO    = flag.Duration("max-timeout", 120*time.Second, "upper clamp on any request deadline")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight requests")
-		shards   = flag.Int("shards", 16, "tester-cache shard count")
-		maxIdle  = flag.Int("cache-idle", 4, "idle testers cached per instance")
-		maxKeys  = flag.Int("cache-keys", 1024, "distinct instances cached pool-wide (LRU beyond)")
 		sessions = flag.Int("max-sessions", 1024, "admission-session cap")
 		budget   = flag.Int64("analyze-budget", 2_000_000, "default exact-adversary node budget for /v1/analyze")
 		dataDir  = flag.String("data-dir", "", "durability directory (write-ahead log + snapshots); empty disables durability")
@@ -84,7 +81,7 @@ func main() {
 	if *coord {
 		err = runCoordinator(*addr, *replicas, *vnodes, *healthIv, *drain)
 	} else {
-		err = run(*addr, *timeout, *maxTO, *drain, *shards, *maxIdle, *maxKeys, *sessions, *budget, *dataDir, *fsyncInt, *snapEvry)
+		err = run(*addr, *timeout, *maxTO, *drain, *sessions, *budget, *dataDir, *fsyncInt, *snapEvry)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
@@ -138,18 +135,15 @@ func runCoordinator(addr, replicas string, vnodes int, healthIv, drain time.Dura
 	return nil
 }
 
-func run(addr string, timeout, maxTO, drain time.Duration, shards, maxIdle, maxKeys, sessions int, budget int64, dataDir string, fsyncInt time.Duration, snapEvery int) error {
+func run(addr string, timeout, maxTO, drain time.Duration, sessions int, budget int64, dataDir string, fsyncInt time.Duration, snapEvery int) error {
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	cfg := service.Config{
-		Addr:              addr,
-		DefaultTimeout:    timeout,
-		MaxTimeout:        maxTO,
-		PoolShards:        shards,
-		PoolMaxIdlePerKey: maxIdle,
-		PoolMaxKeys:       maxKeys,
-		MaxSessions:       sessions,
-		AnalyzeBudget:     budget,
-		Logf:              logger.Printf,
+		Addr:           addr,
+		DefaultTimeout: timeout,
+		MaxTimeout:     maxTO,
+		MaxSessions:    sessions,
+		AnalyzeBudget:  budget,
+		Logf:           logger.Printf,
 	}
 	var srv *service.Server
 	if dataDir != "" {

@@ -11,7 +11,7 @@ import (
 )
 
 func TestRunBadAddr(t *testing.T) {
-	err := run("127.0.0.1:99999", time.Second, time.Second, time.Second, 1, 1, 16, 1, 1000, "", 0, 0)
+	err := run("127.0.0.1:99999", time.Second, time.Second, time.Second, 1, 1000, "", 0, 0)
 	if err == nil {
 		t.Fatal("run accepted an unbindable address")
 	}
@@ -32,7 +32,7 @@ func TestRunSignalDrain(t *testing.T) {
 
 	errc := make(chan error, 1)
 	go func() {
-		errc <- run(addr, time.Second, 2*time.Second, 5*time.Second, 2, 2, 16, 8, 100000, "", 0, 0)
+		errc <- run(addr, time.Second, 2*time.Second, 5*time.Second, 8, 100000, "", 0, 0)
 	}()
 
 	up := false

@@ -45,9 +45,10 @@
 // admission-control loops — should use a Tester, which precomputes the
 // sort orders once and answers repeat queries without allocating;
 // Tester.UpdateWCET re-tests a WCET change incrementally. A Tester is
-// not safe for concurrent use; internal/service pools them for the HTTP
-// server (cmd/serve), whose responses are byte-identical to direct
-// library calls. Long-lived admission loops are served by the
+// not safe for concurrent use. The HTTP server (cmd/serve, built on
+// internal/service) answers each stateless query with a fresh TestCtx or
+// MinAlphaCtx, so its responses are byte-identical to direct library
+// calls. Long-lived admission loops are served by the
 // incremental engine in internal/online, built with NewEngine and an
 // Options struct whose Policy field selects the placement policy —
 // first-fit over the paper's sorted order (the default, byte-identical

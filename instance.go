@@ -11,9 +11,8 @@ import (
 // Instance bundles the three inputs every feasibility question is asked
 // about: the task set, the platform it runs on, and the per-machine
 // scheduling policy. It is the unit of the context-first public API
-// (TestCtx, MinAlphaCtx, SimulateCtx) and the unit the admission-control
-// service caches testers by — one Instance value describes exactly one
-// cached solver state.
+// (TestCtx, MinAlphaCtx, SimulateCtx) and of the admission-control
+// service's stateless endpoints.
 type Instance struct {
 	// Tasks is the sporadic task system under test.
 	Tasks TaskSet
@@ -58,7 +57,7 @@ func (in Instance) Policy() Policy {
 // speed augmentation alpha, observing ctx: a cancelled or expired context
 // yields a PipelineError wrapping the cause. One test is a single
 // polynomial first-fit pass; repeated queries on the same instance should
-// use a Tester (or the admission service, which pools them).
+// use a Tester.
 func TestCtx(ctx context.Context, in Instance, alpha float64) (Report, error) {
 	if err := in.Validate(); err != nil {
 		return Report{}, err

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestInstanceValidateNamesOffendingMachine(t *testing.T) {
@@ -115,6 +116,41 @@ func TestCtxEntryPointsObserveCancellation(t *testing.T) {
 	asg := []int{0, 0, 0, 0, 0}
 	if _, _, err := SimulateCtx(ctx, in, SimulateOptions{Assignment: asg, Alpha: 4}); !IsCanceled(err) {
 		t.Errorf("SimulateCtx on cancelled ctx: %v", err)
+	}
+}
+
+// TestMinAlphaTinyTolTerminates: a tol below the float spacing of the
+// bracket must end the bisection at the accept boundary instead of
+// spinning until the context expires (or forever, without one).
+func TestMinAlphaTinyTolTerminates(t *testing.T) {
+	ts, p := demoInstance()
+	in := Instance{Tasks: ts, Platform: p, Scheduler: EDF}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	tiny, ok, err := MinAlphaCtx(ctx, in, 0.01, 8, 1e-300)
+	if err != nil || !ok {
+		t.Fatalf("MinAlphaCtx tol=1e-300: %v %v %v", tiny, ok, err)
+	}
+	coarse, ok, err := MinAlphaCtx(ctx, in, 0.01, 8, 1e-12)
+	if err != nil || !ok {
+		t.Fatalf("MinAlphaCtx tol=1e-12: %v %v %v", coarse, ok, err)
+	}
+	if !(tiny <= coarse && coarse-tiny <= 1e-12) {
+		t.Errorf("tol=1e-300 gives %v, not within 1e-12 below tol=1e-12's %v", tiny, coarse)
+	}
+
+	done := make(chan float64, 1)
+	go func() {
+		a, _, _ := MinAlpha(ts, p, EDF, 0.01, 8, 1e-300)
+		done <- a
+	}()
+	select {
+	case a := <-done:
+		if a != tiny {
+			t.Errorf("MinAlpha = %v, MinAlphaCtx = %v", a, tiny)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("MinAlpha with tol=1e-300 did not return within 1s")
 	}
 }
 

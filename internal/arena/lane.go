@@ -23,10 +23,10 @@ type laneOp struct {
 }
 
 const (
-	opFresh uint8 = iota // NewEngine with a single seed task
-	opAdmit              // Admit(t) that returned admitted=true
-	opRemove             // Remove(id) that returned ok=true
-	opDrop               // last resident departed; engine discarded
+	opFresh  uint8 = iota // NewEngine with a single seed task
+	opAdmit               // Admit(t) that returned admitted=true
+	opRemove              // Remove(id) that returned ok=true
+	opDrop                // last resident departed; engine discarded
 )
 
 // laneTask pairs a resident's stream sequence number with its task.

@@ -139,6 +139,9 @@ func MinAlphaForConstants(c Constants, sch Scheduler, alphaMax, tol float64) (al
 	}
 	for hi-lo > tol {
 		mid := (lo + hi) / 2
+		if !(lo < mid && mid < hi) {
+			break // tol is below the float spacing of [lo, hi]
+		}
 		vals, err = c.Inequalities(sch, mid)
 		if err != nil {
 			return 0, false, err

@@ -284,6 +284,9 @@ func (t *Tester) MinAlphaCtx(ctx context.Context, lo, hi, tol float64) (alpha fl
 			return 0, false, pipeline.New(pipeline.StageAnalyze, "MinAlpha", cerr)
 		}
 		mid := (lo + hi) / 2
+		if !(lo < mid && mid < hi) {
+			break // tol is below the float spacing of [lo, hi]
+		}
 		rep, err = t.Test(mid)
 		if err != nil {
 			return 0, false, err

@@ -374,6 +374,15 @@ func TestMinAlphaForConstants(t *testing.T) {
 	if a > 3.34 || a < 3.30 {
 		t.Errorf("RMS minimal α = %v, want ≈3.34", a)
 	}
+	// A tol below the float spacing of the bracket still terminates, at
+	// the same boundary a representable tol brackets.
+	tiny, ok, err := MinAlphaForConstants(PaperConstantsEDF, EDF, 4, 1e-300)
+	if err != nil || !ok {
+		t.Fatalf("EDF tol=1e-300: %v %v", ok, err)
+	}
+	if coarse, _, _ := MinAlphaForConstants(PaperConstantsEDF, EDF, 4, 1e-9); !(tiny <= coarse && coarse-tiny <= 1e-9) {
+		t.Errorf("tol=1e-300 gives %v, not within 1e-9 below %v", tiny, coarse)
+	}
 	// Constants that never work: f_f = 0 kills the slow-case split.
 	_, ok, err = MinAlphaForConstants(Constants{Cs: 2, Cf: 2, Fw: 0.5, Ff: 0}, EDF, 100, 1e-9)
 	if err != nil || ok {

@@ -58,8 +58,12 @@ func MaxWCET(ts task.Set, p machine.Platform, sch Scheduler, alpha float64, i in
 		return 0, false, nil
 	}
 	// Upper bracket: the task must at least fit alone on the fastest
-	// machine, so C ≤ α·s_max·P (+1 to make the bracket exclusive).
-	hi := int64(math.Ceil(alpha*p.MaxSpeed()*float64(ts[i].Period))) + 1
+	// machine, so C ≤ α·s_max·P (+1 to make the bracket exclusive),
+	// clamped to MaxInt64 where the product leaves the int64 range.
+	hi := int64(math.MaxInt64)
+	if b := math.Ceil(alpha * p.MaxSpeed() * float64(ts[i].Period)); b < math.MaxInt64 {
+		hi = int64(b) + 1
+	}
 	lo := ts[i].WCET // known accepted
 	if hi <= lo {
 		return lo, true, nil

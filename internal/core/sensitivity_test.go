@@ -32,6 +32,15 @@ func TestMaxWCETSimple(t *testing.T) {
 	if c != 5 {
 		t.Errorf("MaxWCET = %d, want 5", c)
 	}
+	// α·s_max·P = 1.6e19 leaves the int64 range: the bracket clamps to
+	// MaxInt64 instead of wrapping, and C=MaxInt64 still fits.
+	c, ok, err = MaxWCET(task.Set{{WCET: 1, Period: 1e18}}, machine.New(16), EDF, 1, 0)
+	if err != nil || !ok {
+		t.Fatalf("%v %v", ok, err)
+	}
+	if c != math.MaxInt64 {
+		t.Errorf("MaxWCET = %d, want MaxInt64", c)
+	}
 }
 
 func TestMaxWCETAlphaScales(t *testing.T) {

@@ -11,8 +11,10 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"partfeas/internal/machine"
 	"partfeas/internal/sched"
@@ -255,11 +257,17 @@ func Partition(ts task.Set, p machine.Platform, cfg Config) (Result, error) {
 // comparison, ties broken by period, name, then input index. orderTasks,
 // the Solver's incremental re-sort and the online engine's insertion
 // search all use this single definition, which is what makes their
-// placements byte-identical.
+// placements byte-identical. The tasks must be valid (WCET and period
+// positive): w_a > w_b iff C_a·P_b > C_b·P_a, compared as exact 128-bit
+// products.
 func TaskLessUtilDesc(ts task.Set, a, b int) bool {
-	c := ts[a].UtilizationRat().Cmp(ts[b].UtilizationRat())
-	if c != 0 {
-		return c > 0
+	ah, al := bits.Mul64(uint64(ts[a].WCET), uint64(ts[b].Period))
+	bh, bl := bits.Mul64(uint64(ts[b].WCET), uint64(ts[a].Period))
+	if ah != bh {
+		return ah > bh
+	}
+	if al != bl {
+		return al > bl
 	}
 	if ts[a].Period != ts[b].Period {
 		return ts[a].Period < ts[b].Period
@@ -279,6 +287,20 @@ func MachineLessSpeedAsc(p machine.Platform, a, b int) bool {
 	return a < b
 }
 
+// lessCmp turns a strict total order's less(a, b) into a three-way
+// comparison for slices.SortFunc: 0 only when a == b, so every correct
+// sort yields the same unique permutation.
+func lessCmp(less bool, a, b int) int {
+	switch {
+	case less:
+		return -1
+	case a == b:
+		return 0
+	default:
+		return 1
+	}
+}
+
 func orderTasks(ts task.Set, o TaskOrder) ([]int, error) {
 	idx := make([]int, len(ts))
 	for i := range idx {
@@ -288,10 +310,8 @@ func orderTasks(ts task.Set, o TaskOrder) ([]int, error) {
 	case TasksAsGiven:
 		return idx, nil
 	case TasksByUtilizationDesc, TasksByUtilizationAsc:
-		// Same exact-rational comparison as task.SortedByUtilizationDesc,
-		// applied to the index permutation.
-		sort.SliceStable(idx, func(a, b int) bool {
-			return TaskLessUtilDesc(ts, idx[a], idx[b])
+		slices.SortFunc(idx, func(a, b int) int {
+			return lessCmp(TaskLessUtilDesc(ts, a, b), a, b)
 		})
 		if o == TasksByUtilizationAsc {
 			for i, j := 0, len(idx)-1; i < j; i, j = i+1, j-1 {
@@ -313,16 +333,16 @@ func orderMachines(p machine.Platform, o MachineOrder) ([]int, error) {
 	case MachinesAsGiven:
 		return idx, nil
 	case MachinesBySpeedAsc:
-		sort.SliceStable(idx, func(a, b int) bool {
-			return MachineLessSpeedAsc(p, idx[a], idx[b])
+		slices.SortFunc(idx, func(a, b int) int {
+			return lessCmp(MachineLessSpeedAsc(p, a, b), a, b)
 		})
 		return idx, nil
 	case MachinesBySpeedDesc:
-		sort.SliceStable(idx, func(a, b int) bool {
-			if p[idx[a]].Speed != p[idx[b]].Speed {
-				return p[idx[a]].Speed > p[idx[b]].Speed
+		slices.SortFunc(idx, func(a, b int) int {
+			if p[a].Speed != p[b].Speed {
+				return cmp.Compare(p[b].Speed, p[a].Speed)
 			}
-			return idx[a] < idx[b]
+			return a - b
 		})
 		return idx, nil
 	default:

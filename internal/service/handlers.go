@@ -193,21 +193,11 @@ func (s *Server) handleTest(w http.ResponseWriter, r *http.Request) (any, int, e
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
-	t, key, hit, err := s.pool.Acquire(in)
+	rep, err := partfeas.TestCtx(ctx, in, req.Alpha)
 	if err != nil {
 		return nil, 0, err
 	}
-	rep, err := t.TestCtx(ctx, req.Alpha)
-	if err != nil {
-		// The tester is stateless between queries; an interrupted query
-		// leaves it reusable.
-		s.pool.Release(key, t)
-		return nil, 0, err
-	}
-	resp := TestResponseFrom(rep) // deep copy, so release after this
-	s.pool.Release(key, t)
-	w.Header().Set("X-Cache", cacheHeader(hit))
-	return resp, 0, nil
+	return TestResponseFrom(rep), 0, nil
 }
 
 func (s *Server) handleMinAlpha(w http.ResponseWriter, r *http.Request) (any, int, error) {
@@ -233,17 +223,10 @@ func (s *Server) handleMinAlpha(w http.ResponseWriter, r *http.Request) (any, in
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
-	t, key, hit, err := s.pool.Acquire(in)
+	alpha, ok, err := partfeas.MinAlphaCtx(ctx, in, req.Lo, req.Hi, req.Tol)
 	if err != nil {
 		return nil, 0, err
 	}
-	alpha, ok, err := t.MinAlphaCtx(ctx, req.Lo, req.Hi, req.Tol)
-	if err != nil {
-		s.pool.Release(key, t)
-		return nil, 0, err
-	}
-	s.pool.Release(key, t)
-	w.Header().Set("X-Cache", cacheHeader(hit))
 	return MinAlphaResponse{Alpha: alpha, OK: ok}, 0, nil
 }
 
@@ -500,11 +483,4 @@ func (s *Server) markDurability(w http.ResponseWriter, field *string) {
 	m := s.dur.mode()
 	*field = m
 	w.Header().Set("X-Durability", m)
-}
-
-func cacheHeader(hit bool) string {
-	if hit {
-		return "hit"
-	}
-	return "miss"
 }

@@ -18,10 +18,9 @@ const (
 
 // Metrics aggregates the counters behind the /metrics endpoint: request
 // counts by endpoint and status code, in-flight and cancellation gauges,
-// tester-cache hit ratio, and request-latency quantiles (p50/p90/p99)
-// estimated from a log-bucketed histogram. All hot-path updates are
-// atomics or a single short-held mutex, so the handlers can record at
-// full request rate.
+// and request-latency quantiles (p50/p90/p99) estimated from a
+// log-bucketed histogram. All hot-path updates are atomics or a single
+// short-held mutex, so the handlers can record at full request rate.
 type Metrics struct {
 	start time.Time
 
@@ -49,11 +48,10 @@ type Metrics struct {
 	migrHist   [histBuckets + 1]atomic.Uint64
 	migrSum    atomic.Uint64 // nanoseconds
 
-	// sessionsActive, poolStats and walStats are read at scrape time.
+	// sessionsActive and walStats are read at scrape time.
 	// walStats is nil on a non-durable server, which omits the
 	// partfeas_wal_* family entirely.
 	sessionsActive func() int
-	poolStats      func() PoolStats
 	walStats       func() WALStats
 }
 
@@ -117,14 +115,13 @@ func TierPath(tier int) (AdmissionPath, bool) {
 	}
 }
 
-// NewMetrics builds the metrics registry; sessions and pool are read
-// lazily at scrape time (either may be nil).
-func NewMetrics(sessions func() int, pool func() PoolStats) *Metrics {
+// NewMetrics builds the metrics registry; sessions is read lazily at
+// scrape time (it may be nil).
+func NewMetrics(sessions func() int) *Metrics {
 	return &Metrics{
 		start:          time.Now(),
 		requests:       map[reqKey]uint64{},
 		sessionsActive: sessions,
-		poolStats:      pool,
 	}
 }
 
@@ -290,32 +287,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP partfeas_http_requests_canceled_total Requests abandoned by their client mid-flight.\n")
 	fmt.Fprintf(w, "# TYPE partfeas_http_requests_canceled_total counter\n")
 	fmt.Fprintf(w, "partfeas_http_requests_canceled_total %d\n", m.canceled.Load())
-
-	if m.poolStats != nil {
-		st := m.poolStats()
-		fmt.Fprintf(w, "# HELP partfeas_tester_cache_hits_total Tester-pool cache hits.\n")
-		fmt.Fprintf(w, "# TYPE partfeas_tester_cache_hits_total counter\n")
-		fmt.Fprintf(w, "partfeas_tester_cache_hits_total %d\n", st.Hits)
-		fmt.Fprintf(w, "# HELP partfeas_tester_cache_misses_total Tester-pool cache misses.\n")
-		fmt.Fprintf(w, "# TYPE partfeas_tester_cache_misses_total counter\n")
-		fmt.Fprintf(w, "partfeas_tester_cache_misses_total %d\n", st.Misses)
-		fmt.Fprintf(w, "# HELP partfeas_tester_cache_idle Testers currently cached.\n")
-		fmt.Fprintf(w, "# TYPE partfeas_tester_cache_idle gauge\n")
-		fmt.Fprintf(w, "partfeas_tester_cache_idle %d\n", st.Idle)
-		fmt.Fprintf(w, "# HELP partfeas_tester_cache_keys Distinct instances currently cached.\n")
-		fmt.Fprintf(w, "# TYPE partfeas_tester_cache_keys gauge\n")
-		fmt.Fprintf(w, "partfeas_tester_cache_keys %d\n", st.Keys)
-		fmt.Fprintf(w, "# HELP partfeas_tester_pool_evictions_total Instance keys evicted by the pool's LRU key bound.\n")
-		fmt.Fprintf(w, "# TYPE partfeas_tester_pool_evictions_total counter\n")
-		fmt.Fprintf(w, "partfeas_tester_pool_evictions_total %d\n", st.Evictions)
-		ratio := 0.0
-		if st.Hits+st.Misses > 0 {
-			ratio = float64(st.Hits) / float64(st.Hits+st.Misses)
-		}
-		fmt.Fprintf(w, "# HELP partfeas_tester_cache_hit_ratio Hits / (hits + misses) since start.\n")
-		fmt.Fprintf(w, "# TYPE partfeas_tester_cache_hit_ratio gauge\n")
-		fmt.Fprintf(w, "partfeas_tester_cache_hit_ratio %g\n", ratio)
-	}
 
 	if m.sessionsActive != nil {
 		fmt.Fprintf(w, "# HELP partfeas_sessions_active Open admission sessions.\n")

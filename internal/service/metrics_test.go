@@ -27,7 +27,7 @@ func TestBucketOf(t *testing.T) {
 }
 
 func TestQuantile(t *testing.T) {
-	m := NewMetrics(nil, nil)
+	m := NewMetrics(nil)
 	if q := m.quantile(0.5); q != 0 {
 		t.Errorf("empty histogram p50 = %v, want 0", q)
 	}
@@ -54,7 +54,7 @@ func TestQuantile(t *testing.T) {
 }
 
 func TestWritePrometheusShape(t *testing.T) {
-	m := NewMetrics(func() int { return 3 }, func() PoolStats { return PoolStats{Hits: 6, Misses: 2, Idle: 1} })
+	m := NewMetrics(func() int { return 3 })
 	m.RequestStarted()
 	m.RequestDone("/v1/test", 200, time.Millisecond)
 	m.RequestStarted() // still in flight at scrape time
@@ -67,10 +67,6 @@ func TestWritePrometheusShape(t *testing.T) {
 		`partfeas_http_requests_total{endpoint="/v1/test",code="200"} 1`,
 		"partfeas_http_in_flight 1",
 		"partfeas_http_requests_canceled_total 1",
-		"partfeas_tester_cache_hits_total 6",
-		"partfeas_tester_cache_misses_total 2",
-		"partfeas_tester_cache_idle 1",
-		"partfeas_tester_cache_hit_ratio 0.75",
 		"partfeas_sessions_active 3",
 		`partfeas_http_request_duration_seconds{quantile="0.99"}`,
 		"partfeas_http_request_duration_seconds_count 1",

@@ -9,8 +9,8 @@ import (
 )
 
 // Config tunes a Server. The zero value is serviceable: listen on
-// :8377, 30s default / 120s max request deadline, 16 pool shards with 4
-// idle testers per instance, 1024 sessions, 2M-node analyze budget.
+// :8377, 30s default / 120s max request deadline, 1024 sessions,
+// 2M-node analyze budget.
 type Config struct {
 	// Addr is the listen address; empty means ":8377".
 	Addr string
@@ -20,12 +20,6 @@ type Config struct {
 	// MaxTimeout clamps every request deadline (including client-supplied
 	// timeout_ms); 0 means 120s, negative means unclamped.
 	MaxTimeout time.Duration
-	// PoolShards, PoolMaxIdlePerKey and PoolMaxKeys size the tester
-	// cache (NewTesterPool defaults apply on 0). PoolMaxKeys bounds the
-	// distinct instances cached pool-wide; excess keys are evicted LRU.
-	PoolShards        int
-	PoolMaxIdlePerKey int
-	PoolMaxKeys       int
 	// MaxSessions caps live admission sessions; 0 means 1024.
 	MaxSessions int
 	// AnalyzeBudget is the default exact-adversary node budget for
@@ -51,12 +45,11 @@ type Config struct {
 }
 
 // Server is the admission-control service: the handler set plus the
-// shared tester pool, session store and metrics registry. Construct with
+// session store and metrics registry. Construct with
 // New, then either mount Handler into an existing http.Server or use
 // Listen/Serve/Shutdown for the managed lifecycle.
 type Server struct {
 	cfg      Config
-	pool     *TesterPool
 	sessions *sessionStore
 	metrics  *Metrics
 	handler  http.Handler
@@ -95,11 +88,10 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:        cfg,
-		pool:       NewTesterPool(cfg.PoolShards, cfg.PoolMaxIdlePerKey, cfg.PoolMaxKeys),
 		sessions:   newSessionStore(cfg.MaxSessions),
 		peerClient: &http.Client{},
 	}
-	s.metrics = NewMetrics(s.sessions.count, s.pool.Stats)
+	s.metrics = NewMetrics(s.sessions.count)
 	s.sessions.mx = s.metrics
 	s.handler = s.routes()
 	return s
@@ -165,12 +157,8 @@ func (s *Server) logf(format string, args ...any) {
 // Handler exposes the full route set for embedding and tests.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Metrics exposes the registry (the servesmoke gate reads cache ratios
-// through it without scraping).
+// Metrics exposes the registry for reading without scraping.
 func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// Pool exposes the tester cache.
-func (s *Server) Pool() *TesterPool { return s.pool }
 
 // Listen binds the configured address (":0" picks an ephemeral port;
 // read it back with Addr) without serving yet.

@@ -11,6 +11,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"partfeas/internal/workload"
 )
 
 // streamJSON is the reference writer: the body json.NewEncoder(w).Encode
@@ -450,4 +452,78 @@ func BenchmarkHandlerAdmitRemove(b *testing.B) {
 			}
 		})
 	}
+}
+
+// openTestBody draws one /v1/test body in tenants-open's shape: n 8–32
+// tasks, m 4–8 machines with speeds U[0.5, 2.5], total utilization 0.3–0.9
+// of the total speed spread by UUniFast, periods log-uniform in
+// [10, 1000].
+func openTestBody(tb testing.TB, rng *workload.RNG) []byte {
+	tb.Helper()
+	n, m := 8+rng.Intn(25), 4+rng.Intn(5)
+	var req TestRequest
+	var total float64
+	for j := 0; j < m; j++ {
+		req.Speeds = append(req.Speeds, rng.Range(0.5, 2.5))
+		total += req.Speeds[j]
+	}
+	us, err := workload.UUniFast(rng, n, rng.Range(0.3, 0.9)*total)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, u := range us {
+		per, err := workload.LogUniformPeriod(rng, 10, 1000)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		req.Tasks = append(req.Tasks, TaskJSON{WCET: max(1, int64(math.Round(u*float64(per)))), Period: per})
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// BenchmarkHandlerTest is the stateless /v1/test endpoint through the
+// handler with httptest requests and recorders, no socket. repeat sends
+// one instance every iteration; mix is tenants-open's test traffic, 80%
+// drawn from a working set of 256 instances and 20% fresh ones.
+func BenchmarkHandlerTest(b *testing.B) {
+	run := func(b *testing.B, bodies [][]byte) {
+		h := newTestServer(b).Handler()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/test", bytes.NewReader(bodies[i])))
+			if w.Code != http.StatusOK {
+				b.Fatalf("test: %d %s", w.Code, w.Body)
+			}
+		}
+	}
+	b.Run("repeat", func(b *testing.B) {
+		body := openTestBody(b, workload.NewRNG(1))
+		bodies := make([][]byte, b.N)
+		for i := range bodies {
+			bodies[i] = body
+		}
+		run(b, bodies)
+	})
+	b.Run("mix", func(b *testing.B) {
+		rng := workload.NewRNG(2)
+		working := make([][]byte, 256)
+		for i := range working {
+			working[i] = openTestBody(b, rng)
+		}
+		bodies := make([][]byte, b.N)
+		for i := range bodies {
+			if rng.Intn(5) == 0 {
+				bodies[i] = openTestBody(b, rng)
+			} else {
+				bodies[i] = working[rng.Intn(len(working))]
+			}
+		}
+		run(b, bodies)
+	})
 }

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"partfeas/internal/rational"
@@ -132,37 +131,6 @@ func (s Set) Clone() Set {
 	c := make(Set, len(s))
 	copy(c, s)
 	return c
-}
-
-// SortedByUtilizationDesc returns a copy sorted by non-increasing
-// utilization (w_i >= w_{i+1}), the task order the paper's algorithm
-// requires. Ties break by smaller period first, then by name, so the order
-// is deterministic.
-func (s Set) SortedByUtilizationDesc() Set {
-	c := s.Clone()
-	sort.SliceStable(c, func(i, j int) bool {
-		// Exact comparison: w_i > w_j iff C_i * P_j > C_j * P_i.
-		ci := c[i].UtilizationRat().Cmp(c[j].UtilizationRat())
-		if ci != 0 {
-			return ci > 0
-		}
-		if c[i].Period != c[j].Period {
-			return c[i].Period < c[j].Period
-		}
-		return c[i].Name < c[j].Name
-	})
-	return c
-}
-
-// IsSortedByUtilizationDesc reports whether the set is already in the
-// paper's task order.
-func (s Set) IsSortedByUtilizationDesc() bool {
-	for i := 1; i < len(s); i++ {
-		if s[i-1].UtilizationRat().Cmp(s[i].UtilizationRat()) < 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Hyperperiod returns lcm of all periods, or an error if it overflows

@@ -77,53 +77,6 @@ func TestMaxUtilizationAndUtilizations(t *testing.T) {
 	}
 }
 
-func TestSortedByUtilizationDesc(t *testing.T) {
-	s := Set{
-		{Name: "low", WCET: 1, Period: 10},
-		{Name: "high", WCET: 9, Period: 10},
-		{Name: "mid", WCET: 5, Period: 10},
-	}
-	got := s.SortedByUtilizationDesc()
-	wantOrder := []string{"high", "mid", "low"}
-	for i, name := range wantOrder {
-		if got[i].Name != name {
-			t.Errorf("position %d = %s, want %s", i, got[i].Name, name)
-		}
-	}
-	// Original untouched.
-	if s[0].Name != "low" {
-		t.Error("SortedByUtilizationDesc mutated its receiver")
-	}
-	if !got.IsSortedByUtilizationDesc() {
-		t.Error("IsSortedByUtilizationDesc false on sorted set")
-	}
-	if s.IsSortedByUtilizationDesc() {
-		t.Error("IsSortedByUtilizationDesc true on unsorted set")
-	}
-}
-
-func TestSortTieBreakDeterministic(t *testing.T) {
-	// Equal utilizations 2/4 and 1/2: tie broken by smaller period.
-	s := Set{{Name: "b", WCET: 2, Period: 4}, {Name: "a", WCET: 1, Period: 2}}
-	got := s.SortedByUtilizationDesc()
-	if got[0].Name != "a" || got[1].Name != "b" {
-		t.Errorf("tie-break order = %v", got)
-	}
-}
-
-func TestSortExactComparisonNoFloatTies(t *testing.T) {
-	// 1/3 vs 333333333/1000000000: floats would call these nearly equal;
-	// exact comparison must put 1/3 (larger) first.
-	s := Set{
-		{Name: "approx", WCET: 333333333, Period: 1000000000},
-		{Name: "exact", WCET: 1, Period: 3},
-	}
-	got := s.SortedByUtilizationDesc()
-	if got[0].Name != "exact" {
-		t.Errorf("exact 1/3 should sort before 0.333333333, got order %v", got)
-	}
-}
-
 func TestHyperperiod(t *testing.T) {
 	s := Set{{WCET: 1, Period: 4}, {WCET: 1, Period: 6}, {WCET: 1, Period: 10}}
 	hp, err := s.Hyperperiod()
@@ -257,52 +210,6 @@ func TestReadJSONRejectsInvalid(t *testing.T) {
 		if _, err := ReadJSON(strings.NewReader(in)); err == nil {
 			t.Errorf("ReadJSON(%q) accepted invalid input", in)
 		}
-	}
-}
-
-// Property: sorting is idempotent and preserves multiset of tasks.
-func TestQuickSortProperties(t *testing.T) {
-	f := func(raw []struct {
-		C uint16
-		P uint16
-	}) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		s := make(Set, len(raw))
-		for i, r := range raw {
-			s[i] = Task{WCET: int64(r.C) + 1, Period: int64(r.P) + 1}
-		}
-		sorted := s.SortedByUtilizationDesc()
-		if !sorted.IsSortedByUtilizationDesc() {
-			return false
-		}
-		again := sorted.SortedByUtilizationDesc()
-		for i := range sorted {
-			if sorted[i] != again[i] {
-				return false
-			}
-		}
-		// Multiset preserved: compare total utilization and counts.
-		if len(sorted) != len(s) {
-			return false
-		}
-		count := map[Task]int{}
-		for _, tk := range s {
-			count[tk]++
-		}
-		for _, tk := range sorted {
-			count[tk]--
-		}
-		for _, c := range count {
-			if c != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
 	}
 }
 
