@@ -80,6 +80,9 @@ fuzz:
 	$(GO) test ./internal/rational -run Fuzz -fuzz=FuzzArithmetic -fuzztime=5s
 	$(GO) test ./internal/service -run Fuzz -fuzz=FuzzWireEncoding -fuzztime=5s
 
+# Packages whose benchmarks make bench records and make benchsmoke runs.
+BENCH_PKGS = ./internal/online ./internal/oplog ./internal/service ./internal/arena ./internal/cluster
+
 ## bench: record the engine, WAL, service (handler ladder row L3), arena
 ## and cluster benchmark suites to the next results/BENCH_<n+1>.json,
 ## gated against the newest recorded results/BENCH_<n>.json — the gate
@@ -87,14 +90,15 @@ fuzz:
 ## pass through as additions.
 bench:
 	@last=$$(ls results/BENCH_*.json | sed 's/[^0-9]//g' | sort -n | tail -1); \
-	$(GO) run ./cmd/benchjson -pkg "./internal/online ./internal/oplog ./internal/service ./internal/arena ./internal/cluster" \
+	$(GO) run ./cmd/benchjson -pkg "$(BENCH_PKGS)" \
 		-benchtime 0.3s -baseline results/BENCH_$$last.json -max-regress 0.25 \
 		-o results/BENCH_$$((last + 1)).json
 
-## benchsmoke: run every benchmark exactly once — cheap assurance that
-## benchmark setup assertions (acceptance, miss-free instances) hold.
+## benchsmoke: run every benchmark of the root package and of make
+## bench's packages exactly once — cheap assurance that benchmark setup
+## assertions (acceptance, miss-free instances, warm-up round trips) hold.
 benchsmoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x . $(BENCH_PKGS)
 
 ## benchmod: vet and test the benchmark module (bench/, its own go.mod).
 ## Root builds never compile it, so this is what catches a public-API

@@ -281,6 +281,51 @@ func checkDemand(s Set, speed float64, horizon int64) (bool, error) {
 	}
 }
 
+// horizonSafeBound keeps every quantity the safety argument multiplies
+// comfortably inside int64/float64 range.
+const horizonSafeBound = float64(int64(1) << 61)
+
+// HorizonSafe reports whether FeasibleEDF(s, speed) is guaranteed to
+// return a verdict — no ErrHorizonTooLarge, no ErrDemandOverflow — so a
+// sufficient accept established by cheaper means is conclusive against
+// it. The online engine's density tier relies on it: Σδ ≤ s accepts
+// (dbf(t) ≤ Σδ·t for constrained tasks, since ⌊(t−D)/P⌋+1 ≤ t/D when
+// P ≥ D), but only where the exact test would answer rather than fail.
+// The caller passes conservative *upper bounds* on the set's total
+// utilization, total density, Σ1/P_i and Σ(P_i−D_i)·w_i (inflate
+// incrementally folded sums by a relative 1e-9 to dominate the fresh
+// summation FeasibleEDF performs), plus the exact max deadline and task
+// count. The conditions are:
+//
+//   - uUB ≤ s·(1−1e-6): the La branch is taken (never the hyperperiod
+//     fallback) and its denominator s−u is well away from zero;
+//   - horizon = max(La, maxD) < 2^61: the float→int64 conversion and all
+//     demand products stay in range;
+//   - n + horizon·Σ1/P < maxCheckpoints/2: checkDemand finishes within
+//     its enumeration budget;
+//   - densUB·horizon < 2^61: dbf(t) ≤ Σδ·t fits in int64 at every
+//     enumerated checkpoint, so dbfChecked cannot overflow before the
+//     first violation (if any) is reached.
+func HorizonSafe(speed, uUB, densUB, invPUB, numUB float64, maxD int64, n int) bool {
+	if !(uUB <= speed*(1-1e-6)) {
+		return false
+	}
+	h := numUB / (speed - uUB)
+	if fm := float64(maxD); fm > h {
+		h = fm
+	}
+	if !(h < horizonSafeBound) {
+		return false
+	}
+	if !(float64(n)+(h+1)*invPUB < float64(maxCheckpoints)/2) {
+		return false
+	}
+	if !(densUB*(h+1) < horizonSafeBound) {
+		return false
+	}
+	return true
+}
+
 // ApproxFeasibleEDF is the k-step approximate test: it checks the exact
 // demand at each task's first k deadlines and the linear bound beyond.
 // It never accepts an infeasible set (ApproxDBF ≥ DBF); it may reject

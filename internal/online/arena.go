@@ -31,10 +31,6 @@ func (e *Engine) recycleMach(mc mach) {
 	mc.cumNum = mc.cumNum[:0]
 	mc.cumInvP = mc.cumInvP[:0]
 	mc.cumMaxD = mc.cumMaxD[:0]
-	mc.envT = mc.envT[:0]
-	mc.envE = mc.envE[:0]
-	mc.envA = mc.envA[:0]
-	mc.envGen = 0
-	mc.envBad = false
+	mc.gen = 0
 	e.machPool = append(e.machPool, mc)
 }

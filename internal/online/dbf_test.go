@@ -81,9 +81,9 @@ func checkOp(t *testing.T, ctx string, res partition.Result, ok bool, opErr erro
 // constrained-deadline sets, every sorted-policy engine verdict and
 // assignment must be identical to a fresh dbf.FirstFit (exact-admission)
 // solve over the surviving multiset — no matter which tier answered.
-// k = 0 runs the exact-only pipeline; the tiered depths must agree with
-// it by agreeing with the same reference. The three depths × instances
-// × ops exceed 10k compared mutations.
+// Options.ApproxK is ignored, so the three k sub-tests run the same
+// density-and-memoized-exact pipeline on different seeds. The three
+// sub-tests × instances × ops exceed 10k compared mutations.
 func TestEngineDBFSortedDifferential(t *testing.T) {
 	const (
 		instances = 12
@@ -219,9 +219,10 @@ func TestEngineDBFSortedDifferential(t *testing.T) {
 	}
 }
 
-// TestEngineDBFTierCounts pins the tiers actually firing: a lightly
-// loaded tiered engine must answer most probes without the exact test,
-// and per-op stats must report the deepest tier used.
+// TestEngineDBFTierCounts pins the tiers actually firing: on a lightly
+// loaded engine the density tier must answer probes, every probe must be
+// counted as density or exact (the approximate count stays 0), and
+// per-op stats must report the deepest tier used.
 func TestEngineDBFTierCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	p := machine.New(1, 1, 1, 1)
@@ -233,6 +234,7 @@ func TestEngineDBFTierCounts(t *testing.T) {
 		pp := int64(100 + rng.Intn(900))
 		c := 1 + rng.Int63n(pp/50+1)
 		d := c + (pp-c)/2
+		d0, _, x0 := e.TierCounts()
 		_, admitted, err := e.AdmitConstrained(dbf.Task{WCET: c, Deadline: d, Period: pp})
 		if err != nil {
 			t.Fatal(err)
@@ -240,13 +242,53 @@ func TestEngineDBFTierCounts(t *testing.T) {
 		if admitted && e.LastOpStats().MaxTier == 0 {
 			t.Fatalf("op %d: admitted with MaxTier 0 on a constrained engine", i)
 		}
+		if d1, a1, x1 := e.TierCounts(); a1 != 0 || d1+x1 == d0+x0 {
+			t.Fatalf("op %d: probes not counted as density or exact: density %d→%d approx=%d exact %d→%d", i, d0, d1, a1, x0, x1)
+		}
 	}
 	dn, ap, ex := e.TierCounts()
-	if dn+ap == 0 {
-		t.Fatalf("cheap tiers never fired: density=%d approx=%d exact=%d", dn, ap, ex)
+	if dn == 0 {
+		t.Fatalf("density tier never fired: density=%d approx=%d exact=%d", dn, ap, ex)
 	}
-	if ex > (dn+ap+ex)/2 {
-		t.Fatalf("exact tier dominated a low-load workload: density=%d approx=%d exact=%d", dn, ap, ex)
+	if err := e.SelfCheck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEngineDBFMemoSpliceGeneration: a local removal that leaves a
+// machine non-empty with nothing to re-place must still give it a fresh
+// generation, or the exact-tier memo answers the new resident set with a
+// verdict cached for an older one. The probe p (C = D, so only the exact
+// tier can decide it) fits an empty machine but not one holding a.
+func TestEngineDBFMemoSpliceGeneration(t *testing.T) {
+	p := dbf.Task{Name: "p", WCET: 2, Deadline: 2, Period: 8}
+	a := dbf.Task{Name: "a", WCET: 1, Deadline: 2, Period: 8}
+	x := dbf.Task{Name: "x", WCET: 1, Deadline: 8, Period: 8}
+	full := dbf.Task{Name: "full", WCET: 8, Deadline: 8, Period: 8}
+	ts, dls := splitConstrained(dbf.Set{p, full}) // p on machine 0, full on 1
+	e, err := NewEngine(ts, machine.New(1, 1), Options{Policy: FirstFitArrival(), Deadlines: dls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Result().Assignment; got[0] != 0 || got[1] != 1 {
+		t.Fatalf("seed assignment = %v, want [0 1]", got)
+	}
+	mustOp := func(what string, ok bool, err error) {
+		t.Helper()
+		if err != nil || !ok {
+			t.Fatalf("%s: ok=%v err=%v", what, ok, err)
+		}
+	}
+	_, ok, err := e.Remove(0) // machine 0 empties; full is now id 0
+	mustOp("remove p", ok, err)
+	_, ok, err = e.AdmitConstrained(a)
+	mustOp("admit a", ok, err)
+	_, ok, err = e.AdmitConstrained(x)
+	mustOp("admit x", ok, err)
+	_, ok, err = e.Remove(2) // x was placed last on machine 0: nothing to re-place
+	mustOp("remove x", ok, err)
+	if _, ok, err = e.AdmitConstrained(p); err != nil || ok {
+		t.Fatalf("p beside a: admitted=%v err=%v, want a rejection (dbf(2) = 3 > 2)", ok, err)
 	}
 	if err := e.SelfCheck(); err != nil {
 		t.Fatal(err)
@@ -357,8 +399,8 @@ func TestEngineDBFValidation(t *testing.T) {
 	if _, err := e.PlanRepartition(); err == nil {
 		t.Fatal("PlanRepartition on a constrained engine succeeded")
 	}
-	if _, err := NewEngine(seed, p, Options{Deadlines: seedDls, ApproxK: maxApproxK + 10}); err != nil {
-		t.Fatalf("oversized k must clamp, not fail: %v", err)
+	if _, err := NewEngine(seed, p, Options{Deadlines: seedDls, ApproxK: 1 << 20}); err != nil {
+		t.Fatalf("ApproxK is ignored, so any value must be accepted: %v", err)
 	}
 	if _, err := NewEngine(task.Set{}, p, Options{Deadlines: []int64{}, ApproxK: 4}); err == nil {
 		t.Fatal("empty constrained set accepted")

@@ -90,28 +90,18 @@ type mach struct {
 	cum     []float64
 	cumProd []float64 // hyperbolic only
 
-	// admDBF only: parallel left-folds of the quantities the tiered
-	// pipeline needs in O(1) — density sum, Σ(P−D)·w, Σ1/P and the
-	// running max deadline — plus the machine's cached demand envelope:
-	// the merged ascending testing-point set (each resident task's first
-	// k deadlines, deduplicated) with per-point exact cumulative demand
-	// (int64, drift-free) and approximate k-point demand (float64).
+	// admDBF only: parallel left-folds of the quantities the density
+	// tier needs in O(1) — density sum, Σ(P−D)·w, Σ1/P and the running
+	// max deadline.
 	cumDens []float64
 	cumNum  []float64
 	cumInvP []float64
 	cumMaxD []int64
-	envT    []int64
-	envE    []int64
-	envA    []float64
-	// envGen is the machine's demand-envelope generation: a globally
-	// unique, monotone stamp refreshed on every composition change, which
+	// gen is the machine's generation (admDBF only): a globally unique,
+	// monotone stamp refreshed on every change to the placed list, which
 	// keys the exact-tier memo (stale entries can never collide because
 	// generations are never reused, even across rollbacks).
-	envGen uint64
-	// envBad disables the envelope tiers until the next rebuild after an
-	// int64 overflow in a cumulative demand (beyond the design envelope;
-	// purely defensive).
-	envBad bool
+	gen uint64
 }
 
 func (mc *mach) load() float64 {
@@ -194,8 +184,8 @@ type OpStats struct {
 	Visited    int  // suffix positions the replay actually visited
 	BatchSize  int  // number of tasks offered (>1 for AdmitBatch)
 	// MaxTier is the deepest admission tier any probe of the mutation
-	// reached on a constrained-deadline engine: 1 density, 2 approximate
-	// DBF, 3 exact FeasibleEDF; 0 on implicit-deadline engines.
+	// reached on a constrained-deadline engine: 1 density, 2 exact
+	// FeasibleEDF; 0 on implicit-deadline engines.
 	MaxTier int
 }
 
@@ -281,9 +271,8 @@ type Engine struct {
 	// Constrained-deadline state (admDBF only; see dbfstate.go).
 	dl       []int64   // task id → relative deadline
 	dens     []float64 // task id → density C/D
-	approxK  int       // envelope depth; ≤ 0 runs exact-only probes
-	genCtr   uint64    // monotone source for mach.envGen
-	tierCnt  [3]uint64 // cumulative probes decided per tier (density, approx, exact)
+	genCtr   uint64    // monotone source for mach.gen
+	tierCnt  [2]uint64 // cumulative probes decided per tier (density, exact)
 	memo     map[dbfMemoKey]bool
 	candBuf  dbf.Set // scratch candidate for exact probes
 	probeErr error   // first exact-test error of the in-flight mutation
@@ -410,7 +399,7 @@ func (e *Engine) fitsAgg(j int, id int32) bool {
 	case admLL:
 		return mc.load()+u <= sched.LiuLaylandBound(len(mc.placed)+1)*speed
 	case admDBF:
-		return e.fitsDBF(j, id)
+		return e.fitsDBF(j, id, len(mc.placed))
 	default: // admHyperbolic
 		if speed <= 0 {
 			return false
@@ -463,7 +452,7 @@ func (e *Engine) fitsAt(j int, id int32, at int) bool {
 	case admLL:
 		return load+u <= sched.LiuLaylandBound(x+1)*speed
 	case admDBF:
-		return e.fitsAtDBF(j, id, x)
+		return e.fitsDBF(j, id, x)
 	default: // admHyperbolic
 		if speed <= 0 {
 			return false
@@ -482,8 +471,8 @@ func (e *Engine) place(j int, id int32) {
 	mc := &e.machs[j]
 	newLoad := mc.load() + e.utils[id]
 	if e.kind == admDBF {
-		// Fold the tier-1 aggregates before appending, then carry the
-		// envelope forward (placeDBF reads the pre-append folds).
+		// Fold the density-tier aggregates before appending (placeDBF
+		// reads the pre-append folds).
 		e.placeDBF(j, id)
 	}
 	mc.placed = append(mc.placed, id)
@@ -700,11 +689,9 @@ func (e *Engine) makeDirty(j, at int) {
 		nm.cumNum = append(nm.cumNum, mc.cumNum[:x]...)
 		nm.cumInvP = append(nm.cumInvP, mc.cumInvP[:x]...)
 		nm.cumMaxD = append(nm.cumMaxD, mc.cumMaxD[:x]...)
+		nm.gen = e.nextGen()
 	}
 	*mc = nm
-	if e.kind == admDBF {
-		e.rebuildEnvDBF(j)
-	}
 	e.noteDirty(j)
 	e.treeOK = false
 }
@@ -870,9 +857,9 @@ func (e *Engine) replayFrom(k int) int {
 	// Active run: truncated tasks re-folding onto machine runF (-2 when
 	// none; -1 would collide with a fresh task's unassigned machine).
 	// Run fusion is disabled for admDBF — the fused inner loop appends
-	// folds without maintaining the demand envelope, and a DBF admission
-	// is not a pure fold over the carried locals anyway — so runF stays
-	// -2 and every placement takes the general path.
+	// only the utilization folds (no DBF folds, no fresh generation), and
+	// a DBF admission is not a pure fold over the carried locals anyway —
+	// so runF stays -2 and every placement takes the general path.
 	runF := -2
 	fuse := kind != admDBF
 	var mcF *mach
@@ -1494,11 +1481,9 @@ func (e *Engine) splice(j int, id int32) {
 		nm.cumNum = append(nm.cumNum, mc.cumNum[:x]...)
 		nm.cumInvP = append(nm.cumInvP, mc.cumInvP[:x]...)
 		nm.cumMaxD = append(nm.cumMaxD, mc.cumMaxD[:x]...)
+		nm.gen = e.nextGen()
 	}
 	*mc = nm
-	if e.kind == admDBF {
-		e.rebuildEnvDBF(j)
-	}
 	for _, pid := range e.jMachs[len(e.jMachs)-1].mc.placed[x+1:] {
 		e.place(j, pid)
 	}

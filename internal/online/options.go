@@ -29,16 +29,16 @@ type Options struct {
 	// state). Required when Deadlines is nil; ignored otherwise.
 	Admission partition.AdmissionTest
 
-	// Deadlines switches the engine to the constrained-deadline tiered
-	// DBF pipeline: Deadlines[i] is task i's relative deadline
+	// Deadlines switches the engine to constrained-deadline DBF
+	// admission: Deadlines[i] is task i's relative deadline
 	// (C ≤ D ≤ P enforced), len(Deadlines) must equal len(ts), and the
-	// admission test is dbf.FeasibleEDF through the density/approx/
-	// exact tiers. nil builds an implicit-deadline engine.
+	// admission test is dbf.FeasibleEDF, answered by the density tier
+	// where that is conclusive. nil builds an implicit-deadline engine.
 	Deadlines []int64
 
-	// ApproxK is the constrained pipeline's linearization depth
-	// (clamped to 64; ≤ 0 runs exact-only probes). Ignored when
-	// Deadlines is nil.
+	// ApproxK is accepted and ignored, so callers that still set it keep
+	// building; constrained engines always run the density and exact
+	// tiers.
 	ApproxK int
 
 	// Placed, when non-nil, restores a previously captured placement
@@ -114,11 +114,6 @@ func NewEngine(ts task.Set, p machine.Platform, opts Options) (*Engine, error) {
 
 	if constrained {
 		e.kind = admDBF
-		k := opts.ApproxK
-		if k > maxApproxK {
-			k = maxApproxK
-		}
-		e.approxK = k
 		e.dl = append([]int64(nil), opts.Deadlines...)
 		e.dens = make([]float64, len(ts))
 		for i := range ts {

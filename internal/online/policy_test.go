@@ -103,8 +103,8 @@ func TestNewEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("constrained build: %v", err)
 	}
-	if e.Deadline(0) != 3 || e.ApproxK() != 8 {
-		t.Errorf("constrained state: D=%d k=%d", e.Deadline(0), e.ApproxK())
+	if e.Deadline(0) != 3 {
+		t.Errorf("constrained state: D=%d", e.Deadline(0))
 	}
 }
 

@@ -28,7 +28,7 @@ func sameFloatBits(t *testing.T, ctx string, got, want []float64) {
 // sameEngineState asserts the restored engine reproduced the original
 // bit for bit: placement order, positions, assignments, and every
 // per-machine fold sequence (caches like the capacity tree and the
-// envelope generation stamps are excluded — they are lazily derived and
+// memo generation stamps are excluded — they are lazily derived and
 // never affect verdicts).
 func sameEngineState(t *testing.T, ctx string, got, want *Engine) {
 	t.Helper()
@@ -207,7 +207,7 @@ func TestRestoreConstrainedArrival(t *testing.T) {
 				continue
 			}
 			ts, dls := splitConstrained(e.ConstrainedTasks())
-			r, err := NewEngine(ts, p, Options{Policy: FirstFitArrival(), Deadlines: dls, ApproxK: e.ApproxK(), Placed: e.PlacedLists()})
+			r, err := NewEngine(ts, p, Options{Policy: FirstFitArrival(), Deadlines: dls, Placed: e.PlacedLists()})
 			if err != nil {
 				t.Fatalf("inst %d op %d: restore: %v", inst, op, err)
 			}

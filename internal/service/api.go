@@ -232,8 +232,8 @@ type CreateSessionRequest struct {
 	Placement string `json:"placement,omitempty"`
 	// DeadlineModel selects the admission analysis: "implicit" (default)
 	// tests utilization bounds with D = P; "constrained" accepts per-task
-	// deadlines D ≤ P and admits through the tiered demand-bound-function
-	// pipeline (density pre-filter → approximate DBF band → exact test).
+	// deadlines D ≤ P and admits through the demand-bound-function test
+	// (density pre-filter, then the exact processor-demand test).
 	// Constrained sessions require the EDF scheduler, are engine-only (no
 	// force commits, no infeasible resident states, no repartition), and
 	// their decisions stay identical to a fresh exact constrained

@@ -1,10 +1,10 @@
 package service
 
 // Constrained-deadline sessions: the service face of the online engine's
-// tiered DBF admission. A session created with deadline_model
-// "constrained" carries a relative deadline D ≤ P per task, held by the
-// engine (online.Options.Deadlines), and answers every admission through
-// its pipeline — density pre-filter, approximate demand band, exact
+// DBF admission. A session created with deadline_model "constrained"
+// carries a relative deadline D ≤ P per task, held by the engine
+// (online.Options.Deadlines), and answers every admission through its
+// two tiers — density pre-filter, then the memoized exact
 // processor-demand test — with verdicts identical to a fresh exact
 // constrained first-fit solve. The op paths are the implicit sessions'
 // own: the engine's constrained entry points take implicit tasks as the
@@ -24,12 +24,6 @@ import (
 	"partfeas/internal/dbf"
 	"partfeas/internal/partition"
 )
-
-// sessionApproxK is the linearization depth of constrained sessions'
-// approximate tier. Deeper envelopes sharpen the approximate band but
-// grow per-machine state linearly; 8 keeps the exact tier rare on
-// realistic mixes without measurable envelope cost.
-const sessionApproxK = 8
 
 var (
 	errConstrainedForce = &httpError{

@@ -203,7 +203,7 @@ func TestConstrainedAdmissionMetrics(t *testing.T) {
 	}
 	out := scrape.Body.String()
 	tierTotal := uint64(0)
-	for _, path := range []string{"density", "dbf_approx", "dbf_exact"} {
+	for _, path := range []string{"density", "dbf_exact"} {
 		marker := fmt.Sprintf("partfeas_admissions_total{path=%q} ", path)
 		at := strings.Index(out, marker)
 		if at < 0 {
@@ -221,6 +221,16 @@ func TestConstrainedAdmissionMetrics(t *testing.T) {
 	}
 	if tierTotal == 0 {
 		t.Fatalf("no tier-path admissions recorded:\n%s", out)
+	}
+	// Every admission path label is one AdmissionPath defines.
+	known := map[string]bool{"tail": true, "interior": true, "batch": true, "density": true, "dbf_exact": true}
+	const pathPrefix = `partfeas_admissions_total{path="`
+	for _, line := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, pathPrefix); ok {
+			if label, _, _ := strings.Cut(rest, `"`); !known[label] {
+				t.Fatalf("scrape carries unknown admission path %q:\n%s", label, out)
+			}
+		}
 	}
 	if !strings.Contains(out, `partfeas_admissions_total{path="tail"}`) {
 		t.Fatalf("tail path missing from scrape")

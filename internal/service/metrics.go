@@ -70,13 +70,11 @@ const (
 	PathInterior
 	PathBatch
 	// The tier paths classify constrained-deadline (DBF) admissions by
-	// the deepest tier that decided them: the O(1) density pre-filter,
-	// the approximate k-point demand band, or the exact processor-demand
-	// test. A constrained single admit records on both axes — tail/
-	// interior for where it landed, and one tier path for how hard the
-	// feasibility question was.
+	// the deepest tier that decided them: the O(1) density pre-filter or
+	// the exact processor-demand test. A constrained single admit records
+	// on both axes — tail/interior for where it landed, and one tier path
+	// for how hard the feasibility question was.
 	PathDensity
-	PathDBFApprox
 	PathDBFExact
 	nPaths
 )
@@ -91,8 +89,6 @@ func (p AdmissionPath) String() string {
 		return "batch"
 	case PathDensity:
 		return "density"
-	case PathDBFApprox:
-		return "dbf_approx"
 	case PathDBFExact:
 		return "dbf_exact"
 	default:
@@ -107,8 +103,6 @@ func TierPath(tier int) (AdmissionPath, bool) {
 	case 1:
 		return PathDensity, true
 	case 2:
-		return PathDBFApprox, true
-	case 3:
 		return PathDBFExact, true
 	default:
 		return 0, false

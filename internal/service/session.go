@@ -384,7 +384,7 @@ func (s *session) engineOptions(dls []int64) online.Options {
 	adm, _ := s.in.Scheduler.Admission()
 	return online.Options{
 		Policy: s.placement, Alpha: s.alpha, Admission: adm,
-		Deadlines: dls, ApproxK: sessionApproxK,
+		Deadlines: dls,
 	}
 }
 
