@@ -5,8 +5,8 @@ GO ?= go
 ## ci: the full verification gate — vet and the gofmt gate, build, unit
 ## tests, race detector, the fault-injection matrix, the admission-server
 ## smoke, the durability crash-recovery smoke, the policy arena smoke, the cluster suite with
-## its full-stack oracle test (TestClusterOracle), a short fuzz smoke of
-## the partition invariants, a one-iteration benchmark smoke (catches
+## its full-stack oracle test (TestClusterOracle), short fuzz smokes of
+## the partition invariants and the online replay, a one-iteration benchmark smoke (catches
 ## benchmarks whose setup asserts fail), and the benchmark module's own
 ## vet and tests.
 ci: vet build test race faultsmoke servesmoke crashsmoke arenasmoke clustersmoke fuzz benchsmoke benchmod
@@ -73,10 +73,13 @@ clustersmoke:
 		./internal/cluster ./internal/service
 
 ## fuzz: short smokes of the partition-engine invariant fuzzer, the
-## rational arithmetic differential fuzzer (covers the Add/Cmp fast paths)
-## and the service's wire encoder against encoding/json.
+## online engine's replay (fuzzed op sequences against SelfCheck and a
+## fresh sorted solve), the rational arithmetic differential fuzzer
+## (covers the Add/Cmp fast paths) and the service's wire encoder
+## against encoding/json.
 fuzz:
 	$(GO) test ./internal/partition -run Fuzz -fuzz=FuzzPartitionInvariants -fuzztime=10s
+	$(GO) test ./internal/online -run FuzzEngineOps -fuzz=FuzzEngineOps -fuzztime=10s
 	$(GO) test ./internal/rational -run Fuzz -fuzz=FuzzArithmetic -fuzztime=5s
 	$(GO) test ./internal/service -run Fuzz -fuzz=FuzzWireEncoding -fuzztime=5s
 

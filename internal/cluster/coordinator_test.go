@@ -306,6 +306,30 @@ func TestClusterJoinLeave(t *testing.T) {
 	}
 }
 
+// TestClusterAdminRejectsTrailingData: an admin body is exactly one
+// JSON value. A migrate request naming the session's current holder is
+// a no-op answered 200; the same request with a second value after it
+// must answer 400 instead of acting on the first value alone.
+func TestClusterAdminRejectsTrailingData(t *testing.T) {
+	r0 := startReplica(t, false)
+	c := startCoordinator(t, r0)
+	base := coordURL(c)
+	id, shard := createSession(t, base)
+	req := fmt.Sprintf(`{"id":%q,"target":%q}`, id, shard)
+	for _, tc := range []struct {
+		body     string
+		wantCode int
+	}{
+		{req + `{"id":"s-x"}`, http.StatusBadRequest},
+		{req + ` garbage`, http.StatusBadRequest},
+		{req + "\n", http.StatusOK},
+	} {
+		if code, _, data := httpDo(t, http.MethodPost, base+"/v1/cluster/migrate", tc.body); code != tc.wantCode {
+			t.Errorf("body %q: %d %s, want %d", tc.body, code, data, tc.wantCode)
+		}
+	}
+}
+
 // TestClusterReplicaCrash: a killed replica turns into 502s for its
 // sessions (the probe marks it down); after a restart from its WAL the
 // sessions answer again with their state intact.

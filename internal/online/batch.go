@@ -38,15 +38,14 @@ func (m BatchMode) String() string {
 // AdmitBatch offers several tasks at once. Admitted tasks receive
 // consecutive ids in input order starting at the pre-call Len(); the
 // returned slice reports each input task's verdict. Under the ordered
-// policy the
-// batch is merged into the placement order and placed by a single
-// suffix replay — one checkpoint restore and one pass regardless of how
-// many insertions the batch scatters across the order — and the
-// resulting state is byte-identical to admitting the tasks one by one
-// (and hence to a fresh sorted solve over the surviving multiset). res
-// is the engine's new state on (full or partial) success, or the
-// rejection witness when nothing was admitted. An error means the batch
-// was malformed and the engine is untouched.
+// policy the batch is merged into the placement order and placed by a
+// single suffix replay — one pass regardless of how many insertions the
+// batch scatters across the order — and the resulting state is
+// byte-identical to admitting the tasks one by one (and hence to a fresh
+// sorted solve over the surviving multiset). res is the engine's new
+// state on (full or partial) success, or the rejection witness when
+// nothing was admitted. An error means the batch was malformed and the
+// engine is untouched.
 func (e *Engine) AdmitBatch(ts []task.Task, mode BatchMode) (res partition.Result, admitted []bool, err error) {
 	switch mode {
 	case BestEffort, AllOrNothing:
@@ -135,7 +134,7 @@ func (e *Engine) admitBatch(ts []task.Task, dls []int64, mode BatchMode) (res pa
 		return partition.Result{}, nil, fmt.Errorf("online: %w", perr)
 	}
 	if failID < 0 {
-		e.commit(kmin)
+		e.commit()
 		admitted = make([]bool, len(ts))
 		for i := range admitted {
 			admitted[i] = true

@@ -3,6 +3,7 @@ package online
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"partfeas/internal/dbf"
@@ -14,9 +15,12 @@ import (
 // benchInstance builds the acceptance-criteria instance: m=64 machines,
 // n=1000 resident tasks at moderate total utilization so admissions
 // almost always succeed.
-func benchInstance() (task.Set, machine.Platform) {
+func benchInstance() (task.Set, machine.Platform) { return benchInstanceShape(64, 1000) }
+
+// benchInstanceShape is benchInstance's generator at m machines and n
+// resident tasks (~40% aggregate utilization).
+func benchInstanceShape(m, n int) (task.Set, machine.Platform) {
 	rng := rand.New(rand.NewSource(97))
-	const m, n = 64, 1000
 	speeds := make([]float64, m)
 	for j := range speeds {
 		speeds[j] = 0.5 + 2*rng.Float64()
@@ -30,7 +34,7 @@ func benchInstance() (task.Set, machine.Platform) {
 	for i := range ts {
 		per := int64(100 + rng.Intn(900))
 		// Target ~40% of platform capacity in aggregate.
-		u := 0.4 * total / n * (0.5 + rng.Float64())
+		u := 0.4 * total / float64(n) * (0.5 + rng.Float64())
 		wc := int64(u * float64(per))
 		if wc < 1 {
 			wc = 1
@@ -96,10 +100,9 @@ func BenchmarkOnlineAdmit(b *testing.B) {
 
 // BenchmarkOnlineAdmitBatch measures a 64-task interior batch admitted
 // as one merged replay. The batch scatters interior insertions across
-// the placement order, yet pays one checkpoint restore and one suffix
-// walk for the whole batch, so the amortized ns/task metric lands
-// within a small factor of a single tail admit instead of costing 64
-// interior replays. Engine state is rebuilt outside the timer; the
+// the placement order, yet pays one suffix walk for the whole batch, so
+// the amortized ns/task metric lands within a small factor of a single
+// tail admit instead of costing 64 interior replays. Engine state is rebuilt outside the timer; the
 // timed section is exactly the AdmitBatch call.
 func BenchmarkOnlineAdmitBatch(b *testing.B) {
 	ts, p := benchInstance()
@@ -114,9 +117,9 @@ func BenchmarkOnlineAdmitBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm the engine's arenas and checkpoint rows once so the timed
-	// loop measures the steady state, then reuse one engine throughout:
-	// cleanup removes the batch's tasks between iterations, untimed.
+	// Warm the engine's arenas once so the timed loop measures the
+	// steady state, then reuse one engine throughout: cleanup removes the
+	// batch's tasks between iterations, untimed.
 	undo := func() {
 		for k := 0; k < batch; k++ {
 			if _, ok, err := e.Remove(e.Len() - 1); err != nil || !ok {
@@ -145,6 +148,36 @@ func BenchmarkOnlineAdmitBatch(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/task")
+}
+
+// BenchmarkOnlineAdmitShapes times the interior admit+remove round trip
+// at the shapes the replay's prefix lookup is sensitive to: few machines
+// with long placed lists (m=4, n=1000) and many machines with short ones
+// (m=256, n=2000). The probe is a copy of the median-utilization
+// resident, so it lands mid-order and forces a suffix replay.
+func BenchmarkOnlineAdmitShapes(b *testing.B) {
+	for _, sh := range []struct{ m, n int }{{4, 1000}, {256, 2000}} {
+		b.Run(fmt.Sprintf("m=%d/n=%d", sh.m, sh.n), func(b *testing.B) {
+			ts, p := benchInstanceShape(sh.m, sh.n)
+			byUtil := ts.Clone()
+			sort.Slice(byUtil, func(a, c int) bool { return byUtil[a].Utilization() > byUtil[c].Utilization() })
+			probe := byUtil[len(byUtil)/2]
+			e, err := NewEngine(ts, p, Options{Admission: partition.EDFAdmission{}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok, err := e.Admit(probe); err != nil || !ok {
+					b.Fatalf("admit: ok=%v err=%v", ok, err)
+				}
+				if _, ok, err := e.Remove(e.Len() - 1); err != nil || !ok {
+					b.Fatalf("remove: ok=%v err=%v", ok, err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkFullResolveAdmit measures the path the engine replaces: the
@@ -261,8 +294,8 @@ func BenchmarkOnlineAdmitDBF(b *testing.B) {
 	}
 	for _, probe := range benchDBFProbes {
 		b.Run("tiered/"+probe.name, func(b *testing.B) {
-			// One untimed round trip warms arenas, checkpoint rows and
-			// the exact-probe memo to their steady-state shape.
+			// One untimed round trip warms the arenas and the exact-probe
+			// memo to their steady-state shape.
 			if _, ok, err := e.AdmitConstrained(probe.tk); err != nil || !ok {
 				b.Fatalf("warm admit: ok=%v err=%v", ok, err)
 			}

@@ -18,8 +18,8 @@
 //     answered in O(log m) via a machine-capacity tree; interior
 //     mutations replay only the affected suffix, and the replay walks
 //     that suffix densely but does near-zero work per stationary task:
-//     per-machine prefix-state checkpoints every K positions make
-//     historical-state queries O(1) amortized, cached per-machine
+//     one binary search over a machine's position-ordered placed list
+//     recovers its historical state at any position, cached per-machine
 //     admission thresholds let one comparison against a prefix maximum
 //     over the dirtied machines dismiss a task whose placement provably
 //     cannot change, and consecutive tasks re-folding onto the same
@@ -240,16 +240,9 @@ type Engine struct {
 	dirtyIdx   []int
 	pmax       []float64
 	pmaxN      int
-	// thetaPos flattens the dirty set by scan position: thetaPos[pp] is
-	// the cached threshold of the dirtied machine at position pp, NaN for
-	// untouched machines. The replay's forward scan reads one float per
-	// position instead of chasing dirty/dirtyIdx/dirtyTheta. Entries are
-	// kept in sync with dirtyTheta and cleared lazily at the next begin.
-	thetaPos []float64
 
-	cps      *checkpoints // prefix-state checkpoints (ordered policy only)
-	machPool []mach       // retired state triples (see arena.go)
-	batchIDs []int32      // AdmitBatch scratch
+	machPool []mach  // retired state triples (see arena.go)
+	batchIDs []int32 // AdmitBatch scratch
 
 	jMachs   []machSnap
 	jAssigns []assignSnap
@@ -324,13 +317,6 @@ func (e *Engine) initState() {
 	e.dirtyPos = make([]int, 0, m)
 	e.dirtyTheta = make([]float64, 0, m)
 	e.dirtyIdx = make([]int, m)
-	e.thetaPos = make([]float64, m)
-	for i := range e.thetaPos {
-		e.thetaPos[i] = math.NaN()
-	}
-	if e.ordered {
-		e.cps = newCheckpoints(checkpointStride, m)
-	}
 }
 
 // initPlacement runs the initial placement pass in placement order:
@@ -348,9 +334,6 @@ func (e *Engine) initPlacement() error {
 		e.assign[id] = int32(chosen)
 		e.assignPub[id] = chosen
 		e.place(chosen, id)
-	}
-	if e.cps != nil {
-		e.cps.rebuildFrom(e, 0)
 	}
 	return nil
 }
@@ -409,29 +392,25 @@ func (e *Engine) fitsAgg(j int, id int32) bool {
 }
 
 // prefixLen returns how many of machine j's placed tasks come strictly
-// before placement-order position at. Placed lists are ordered by
-// position, so the machine's exact state at that point is the
-// corresponding prefix of its cumulative folds. The nearest checkpoint
-// at-or-before at supplies a starting estimate; the bidirectional local
-// scan makes the answer exact regardless of checkpoint staleness, and
-// with fresh checkpoints it terminates within the stride's worth of
-// placements (typically 0–2 steps).
+// before placement-order position at; the machine's exact state there is
+// the matching prefix of its cumulative folds. Placed lists are
+// position-ordered (SelfCheck enforces it), so "pos < at" holds on a
+// prefix of the list and a binary search finds its end. Mid-mutation a
+// removed or re-ranked task can sit out of order, but at or past the
+// edit point, so the predicate is still a prefix for the edit-point
+// query that truncates its machine.
 func (e *Engine) prefixLen(j, at int) int {
-	mc := &e.machs[j]
-	x := 0
-	if e.cps != nil {
-		x = e.cps.hint(j, at)
-		if x > len(mc.placed) {
-			x = len(mc.placed)
+	placed, pos := e.machs[j].placed, e.pos
+	lo, hi := 0, len(placed)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(pos[placed[mid]]) < at {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	for x > 0 && int(e.pos[mc.placed[x-1]]) >= at {
-		x--
-	}
-	for x < len(mc.placed) && int(e.pos[mc.placed[x]]) < at {
-		x++
-	}
-	return x
+	return lo
 }
 
 // fitsAt answers the admission query for task id on an untouched machine
@@ -505,7 +484,6 @@ func (e *Engine) place(j int, id int32) {
 			th = s*(2/mc.prod()-1) + capSlack(s, newLoad)
 		}
 		e.dirtyTheta[di] = th
-		e.thetaPos[e.machPos[j]] = th
 		if di < e.pmaxN {
 			e.pmaxN = di
 		}
@@ -624,9 +602,6 @@ func (e *Engine) begin(ed edit) {
 	e.minDirty = len(e.machIdx)
 	e.jMachs = e.jMachs[:0]
 	e.jAssigns = e.jAssigns[:0]
-	for _, pp := range e.dirtyPos { // clear the previous epoch's flat view
-		e.thetaPos[pp] = math.NaN()
-	}
 	e.dirtyPos = e.dirtyPos[:0]
 	e.dirtyTheta = e.dirtyTheta[:0]
 	e.pmax = e.pmax[:0]
@@ -635,8 +610,8 @@ func (e *Engine) begin(ed edit) {
 }
 
 // commit closes a successful mutation: the journaled pre-mutation state
-// buffers return to the arena and the checkpoints past the edit position
-// (the only ones the mutation could invalidate) are rebuilt exactly.
+// buffers return to the arena and the public assignment mirror picks up
+// every journaled reassignment.
 //
 // If the capacity tree was fresh when the mutation began, it is brought
 // back to fresh here by re-keying just the journaled machines instead of
@@ -644,7 +619,7 @@ func (e *Engine) begin(ed edit) {
 // journaled only ever gained load, so their (over-estimating) entries
 // stay sound for the tree's probe-then-verify protocol, while every
 // machine whose capacity grew was journaled by makeDirty or splice.
-func (e *Engine) commit(from int) {
+func (e *Engine) commit() {
 	refresh := e.edTreeOK && !e.treeOK
 	for i := range e.jMachs {
 		if refresh {
@@ -664,9 +639,6 @@ func (e *Engine) commit(from int) {
 	}
 	e.jAssigns = e.jAssigns[:0]
 	e.ed = edit{}
-	if e.cps != nil {
-		e.cps.rebuildFrom(e, from)
-	}
 }
 
 // makeDirty journals machine j and truncates its placement to the exact
@@ -675,9 +647,17 @@ func (e *Engine) commit(from int) {
 // now marked dirty — exactly how the replay recognizes them) and will
 // be re-placed, possibly elsewhere, when the dense walk reaches them.
 func (e *Engine) makeDirty(j, at int) {
+	e.truncate(j, e.prefixLen(j, at))
+	e.noteDirty(j)
+}
+
+// truncate journals machine j and continues it on fresh arena copies of
+// its first x placements and their folds, returning the journaled
+// (pre-truncation) placed list. The machine's capacity may grow, so the
+// capacity tree is marked stale; commit re-keys it from the journal.
+func (e *Engine) truncate(j, x int) []int32 {
 	mc := &e.machs[j]
 	e.jMachs = append(e.jMachs, machSnap{j: j, mc: *mc})
-	x := e.prefixLen(j, at)
 	nm := e.grabMach()
 	nm.placed = append(nm.placed, mc.placed[:x]...)
 	nm.cum = append(nm.cum, mc.cum[:x]...)
@@ -691,9 +671,10 @@ func (e *Engine) makeDirty(j, at int) {
 		nm.cumMaxD = append(nm.cumMaxD, mc.cumMaxD[:x]...)
 		nm.gen = e.nextGen()
 	}
+	old := mc.placed
 	*mc = nm
-	e.noteDirty(j)
 	e.treeOK = false
+	return old
 }
 
 // noteDirty registers machine j as dirtied this epoch: marks its epoch,
@@ -718,7 +699,6 @@ func (e *Engine) noteDirty(j int) {
 	}
 	e.dirtyPos[di] = pp
 	e.dirtyTheta[di] = e.nextCap(j)
-	e.thetaPos[pp] = e.dirtyTheta[di]
 	e.dirtyIdx[j] = di
 	if di < e.pmaxN {
 		e.pmaxN = di
@@ -1001,16 +981,14 @@ func (e *Engine) replayFrom(k int) int {
 			start = skipBefore
 		}
 		if chosen < 0 {
-			thetaPos := e.thetaPos
 			for pp := start; pp < m; pp++ {
-				if th := thetaPos[pp]; th == th { // dirtied machine at pp
-					if u <= th {
-						if j := e.machIdx[pp]; e.fitsAgg(j, id) {
-							chosen = j
-							break
-						}
+				j := e.machIdx[pp]
+				if e.dirtyAt(j) {
+					if u <= e.dirtyTheta[e.dirtyIdx[j]] && e.fitsAgg(j, id) {
+						chosen = j
+						break
 					}
-				} else if j := e.machIdx[pp]; e.fitsAt(j, id, i) {
+				} else if e.fitsAt(j, id, i) {
 					chosen = j
 					break
 				}
@@ -1056,9 +1034,7 @@ func (e *Engine) replayFrom(k int) int {
 // final fused place would have left them.
 func (e *Engine) flushRun(f int) {
 	di := e.dirtyIdx[f]
-	th := e.nextCap(f)
-	e.dirtyTheta[di] = th
-	e.thetaPos[e.machPos[f]] = th
+	e.dirtyTheta[di] = e.nextCap(f)
 	if di < e.pmaxN {
 		e.pmaxN = di
 	}
@@ -1124,8 +1100,7 @@ func (e *Engine) failResult(failID, exclude int) partition.Result {
 
 // rollback restores the pre-mutation state from the undo journal. The
 // abandoned working buffers of every journaled machine return to the
-// arena; checkpoints were never touched mid-mutation, so they are
-// exact for the restored state as-is.
+// arena.
 func (e *Engine) rollback() {
 	refresh := e.edTreeOK && !e.treeOK
 	for i := range e.jMachs {
@@ -1267,7 +1242,7 @@ func (e *Engine) admitOne(t task.Task, d int64) (res partition.Result, admitted 
 		e.assign[id] = int32(chosen)
 		e.assignPub[id] = chosen
 		e.place(chosen, id)
-		e.commit(k)
+		e.commit()
 		return e.Result(), true, nil
 	}
 	e.stats = OpStats{ReplayFrom: k, BatchSize: 1}
@@ -1281,7 +1256,7 @@ func (e *Engine) admitOne(t task.Task, d int64) (res partition.Result, admitted 
 		e.rollback()
 		return res, false, nil
 	}
-	e.commit(k)
+	e.commit()
 	return e.Result(), true, nil
 }
 
@@ -1320,9 +1295,9 @@ func (e *Engine) removeInner(id int) (res partition.Result, ok bool, err error) 
 		e.recomputePos(id)
 		e.splice(int(e.assign[id]), int32(id))
 		// Commit before compact: the mirror refresh keys off journaled
-		// (pre-renumber) ids, and checkpoints/tree are machine-keyed, so
-		// id renumbering cannot invalidate them.
-		e.commit(id)
+		// (pre-renumber) ids, and the capacity tree is machine-keyed, so
+		// id renumbering cannot invalidate it.
+		e.commit()
 		e.compact(id)
 		return e.Result(), true, nil
 	}
@@ -1344,7 +1319,7 @@ func (e *Engine) removeInner(id int) (res partition.Result, ok bool, err error) 
 		e.rollback()
 		return res, false, nil
 	}
-	e.commit(k) // before compact; see the local-policy branch
+	e.commit() // before compact; see the local-policy branch
 	e.compact(id)
 	return e.Result(), true, nil
 }
@@ -1417,7 +1392,7 @@ func (e *Engine) updateWCETInner(id int, wcet int64) (res partition.Result, ok b
 		}
 		e.assign[id] = int32(chosen)
 		e.place(chosen, int32(id))
-		e.commit(0)
+		e.commit()
 		return e.Result(), true, nil
 	}
 
@@ -1453,7 +1428,7 @@ func (e *Engine) updateWCETInner(id int, wcet int64) (res partition.Result, ok b
 		e.rollback()
 		return res, false, nil
 	}
-	e.commit(k)
+	e.commit()
 	return e.Result(), true, nil
 }
 
@@ -1461,34 +1436,17 @@ func (e *Engine) updateWCETInner(id int, wcet int64) (res partition.Result, ok b
 // re-closing the cumulative folds over the surviving tasks (local
 // policies only; sorted-order removals go through the replay).
 func (e *Engine) splice(j int, id int32) {
-	mc := &e.machs[j]
-	e.jMachs = append(e.jMachs, machSnap{j: j, mc: *mc})
 	x := -1
-	for i, pid := range mc.placed {
+	for i, pid := range e.machs[j].placed {
 		if pid == id {
 			x = i
 			break
 		}
 	}
-	nm := e.grabMach()
-	nm.placed = append(nm.placed, mc.placed[:x]...)
-	nm.cum = append(nm.cum, mc.cum[:x]...)
-	if e.kind == admHyperbolic {
-		nm.cumProd = append(nm.cumProd, mc.cumProd[:x]...)
-	}
-	if e.kind == admDBF {
-		nm.cumDens = append(nm.cumDens, mc.cumDens[:x]...)
-		nm.cumNum = append(nm.cumNum, mc.cumNum[:x]...)
-		nm.cumInvP = append(nm.cumInvP, mc.cumInvP[:x]...)
-		nm.cumMaxD = append(nm.cumMaxD, mc.cumMaxD[:x]...)
-		nm.gen = e.nextGen()
-	}
-	*mc = nm
-	for _, pid := range e.jMachs[len(e.jMachs)-1].mc.placed[x+1:] {
+	for _, pid := range e.truncate(j, x)[x+1:] {
 		e.place(j, pid)
 	}
 	e.noteDirty(j)
-	e.treeOK = false
 }
 
 // arrivalFailResult is the rejection witness for a local-policy
@@ -1652,28 +1610,6 @@ func (e *Engine) SelfCheck() error {
 	}
 	if len(e.assignPub) != n {
 		return fmt.Errorf("online: assignPub length %d, want %d", len(e.assignPub), n)
-	}
-	if e.cps != nil {
-		// Checkpoints must be exact between mutations: entry c holds every
-		// machine's placement count strictly before position (c+1)·stride.
-		if want := n / e.cps.stride; len(e.cps.plen) != want {
-			return fmt.Errorf("online: %d checkpoints, want %d", len(e.cps.plen), want)
-		}
-		cnt := make([]int32, len(e.machs))
-		for i := 0; i <= n; i++ {
-			if i > 0 && i%e.cps.stride == 0 {
-				row := e.cps.plen[i/e.cps.stride-1]
-				for j := range cnt {
-					if row[j] != cnt[j] {
-						return fmt.Errorf("online: checkpoint at %d machine %d = %d, recount %d", i, j, row[j], cnt[j])
-					}
-				}
-			}
-			if i == n {
-				break
-			}
-			cnt[e.assign[e.sorted[i]]]++
-		}
 	}
 	if e.kind == admDBF {
 		if err := e.selfCheckDBF(); err != nil {

@@ -8,7 +8,7 @@ package online
 // The engine distinguishes exactly one ordered policy — FirstFitSorted,
 // the paper's utilization-descending first-fit — whose state is a pure
 // function of the resident multiset and whose interior mutations run
-// through the checkpointed suffix replay. Every other policy is local:
+// through the suffix replay. Every other policy is local:
 // tasks are placed on arrival by one Select call against current
 // aggregates and earlier placements are never revisited, so mutations
 // are O(m) worst case with no replay. That split keeps the zero-alloc

@@ -152,9 +152,9 @@ func (e *Engine) applyFull(pl Plan) error {
 		e.assign[id] = int32(j)
 		e.place(j, id)
 	}
-	// Every machine was rebuilt, so every checkpoint is invalidated;
-	// commit recycles the journal and re-sweeps them from position 0.
-	e.commit(0)
+	// Every machine was rebuilt; commit recycles the journal and
+	// re-keys the capacity tree.
+	e.commit()
 	return nil
 }
 
@@ -187,7 +187,7 @@ func (e *Engine) applyPartial(pl Plan, maxMoves int) (int, error) {
 		e.journalAssign(int32(id))
 		e.assign[id] = int32(mv.To)
 		e.place(mv.To, int32(id))
-		e.commit(0)
+		e.commit()
 		applied++
 	}
 	return applied, nil

@@ -64,8 +64,5 @@ func (e *Engine) restorePlacement(placed [][]int32) error {
 			e.place(j, id)
 		}
 	}
-	if e.cps != nil {
-		e.cps.rebuildFrom(e, 0)
-	}
 	return nil
 }

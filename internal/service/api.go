@@ -1,8 +1,7 @@
 // Package service is the JSON-over-HTTP admission-control layer on top
 // of the partfeas public API: stateless feasibility queries (/v1/test,
 // /v1/minalpha, /v1/analyze), stateful admission sessions (/v1/sessions)
-// with incremental WCET re-tests, a sharded cache of reusable Testers
-// keyed by a canonical instance hash, and a Prometheus-text /metrics
+// with incremental WCET re-tests, and a Prometheus-text /metrics
 // endpoint.
 //
 // Every decision the server makes goes through the same context-first

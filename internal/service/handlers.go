@@ -6,6 +6,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime/debug"
@@ -147,13 +148,19 @@ func (s *Server) statusFor(r *http.Request, err error) int {
 	return http.StatusInternalServerError
 }
 
-// decode reads a strict JSON body (unknown fields rejected, 1 MiB cap).
-func decode[T any](w http.ResponseWriter, r *http.Request, dst *T) error {
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
+// decode reads a strict JSON body: exactly one value (trailing
+// whitespace only), unknown fields rejected, at most limit bytes — 1 MiB
+// on the public API, 64 MiB for migration payloads (a full session
+// snapshot plus WAL tail).
+func decode[T any](w http.ResponseWriter, r *http.Request, dst *T, limit int64) error {
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return badRequest("decoding request: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return badRequest("decoding request: trailing data after the JSON value")
 	}
 	return nil
 }
@@ -178,7 +185,7 @@ func (s *Server) requestCtx(r *http.Request, timeoutMS int64) (context.Context, 
 
 func (s *Server) handleTest(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req TestRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := decode(w, r, &req, 1<<20); err != nil {
 		return nil, 0, err
 	}
 	in, err := req.Instance()
@@ -202,7 +209,7 @@ func (s *Server) handleTest(w http.ResponseWriter, r *http.Request) (any, int, e
 
 func (s *Server) handleMinAlpha(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req MinAlphaRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := decode(w, r, &req, 1<<20); err != nil {
 		return nil, 0, err
 	}
 	in, err := req.Instance()
@@ -232,7 +239,7 @@ func (s *Server) handleMinAlpha(w http.ResponseWriter, r *http.Request) (any, in
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req AnalyzeRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := decode(w, r, &req, 1<<20); err != nil {
 		return nil, 0, err
 	}
 	in, err := req.Instance()
@@ -254,7 +261,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) (any, int
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req CreateSessionRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := decode(w, r, &req, 1<<20); err != nil {
 		return nil, 0, err
 	}
 	constrained := false
@@ -327,7 +334,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) (an
 
 func (s *Server) handleSessionTest(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req SessionTestRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := decode(w, r, &req, 1<<20); err != nil {
 		return nil, 0, err
 	}
 	if req.Alpha != 0 { // 0 keeps the session augmentation
@@ -350,7 +357,7 @@ func (s *Server) handleSessionTest(w http.ResponseWriter, r *http.Request) (any,
 
 func (s *Server) handleSessionAddTask(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req AddTaskRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := decode(w, r, &req, 1<<20); err != nil {
 		return nil, 0, err
 	}
 	t := partfeas.Task{Name: req.Task.Name, WCET: req.Task.WCET, Period: req.Task.Period}
@@ -373,7 +380,7 @@ func (s *Server) handleSessionAddTask(w http.ResponseWriter, r *http.Request) (a
 
 func (s *Server) handleSessionAdmitBatch(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req AdmitBatchRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := decode(w, r, &req, 1<<20); err != nil {
 		return nil, 0, err
 	}
 	var mode online.BatchMode
@@ -429,7 +436,7 @@ func (s *Server) handleSessionRemoveTask(w http.ResponseWriter, r *http.Request)
 
 func (s *Server) handleSessionUpdateWCET(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req UpdateWCETRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := decode(w, r, &req, 1<<20); err != nil {
 		return nil, 0, err
 	}
 	sess, err := s.sessions.get(r.PathValue("id"))
@@ -448,7 +455,7 @@ func (s *Server) handleSessionUpdateWCET(w http.ResponseWriter, r *http.Request)
 
 func (s *Server) handleSessionRepartition(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req RepartitionRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := decode(w, r, &req, 1<<20); err != nil {
 		return nil, 0, err
 	}
 	if req.MaxMoves < 0 {

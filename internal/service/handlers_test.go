@@ -235,6 +235,32 @@ func TestHandlerBadInput(t *testing.T) {
 	}
 }
 
+// TestHandlerRejectsTrailingData pins that a request body is exactly one
+// JSON value: a second value or garbage after it answers 400 instead of
+// being silently dropped, while trailing whitespace is still accepted.
+func TestHandlerRejectsTrailingData(t *testing.T) {
+	const body = `{"tasks":[{"wcet":1,"period":2}],"speeds":[1]}`
+	for _, tc := range []struct {
+		name     string
+		trailer  string
+		wantCode int
+	}{
+		{"second value", `{"alpha":9}`, 400},
+		{"garbage", ` garbage`, 400},
+		{"newline", "\n", 200},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := do(t, newTestServer(t), "POST", "/v1/test", body+tc.trailer)
+			if w.Code != tc.wantCode {
+				t.Fatalf("code = %d, want %d (body %s)", w.Code, tc.wantCode, w.Body)
+			}
+			if tc.wantCode == 400 && !strings.Contains(w.Body.String(), "decoding request") {
+				t.Errorf("error body %s does not mention decoding", w.Body)
+			}
+		})
+	}
+}
+
 // TestHandlerDeadlineExpiry pins the 504 path: a server whose default
 // per-request deadline is 1ns expires every context before the solver
 // runs, deterministically.

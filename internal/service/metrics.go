@@ -165,29 +165,12 @@ func (m *Metrics) MigrationFailed() { m.migrFailed.Add(1) }
 // admitQuantile estimates the q-quantile of one path's admission
 // latency histogram; 0 with no data.
 func (m *Metrics) admitQuantile(p AdmissionPath, q float64) time.Duration {
-	total := m.admitCnt[p].Load()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var cum uint64
-	for i := 0; i <= histBuckets; i++ {
-		cum += m.admitHist[p][i].Load()
-		if cum > rank {
-			if i == histBuckets {
-				return histBase << uint(histBuckets-1)
-			}
-			return histBase << uint(i)
-		}
-	}
-	return histBase << uint(histBuckets-1)
+	return histQuantile(&m.admitHist[p], m.admitCnt[p].Load(), q)
 }
 
-// histQuantile estimates the q-quantile of a log-bucketed histogram with
-// the given observation count; 0 with no data.
+// histQuantile estimates the q-quantile (0 < q < 1) of a log-bucketed
+// histogram with the given observation count as the upper bound of the
+// bucket holding the q-th observation; 0 with no data.
 func histQuantile(hist *[histBuckets + 1]atomic.Uint64, total uint64, q float64) time.Duration {
 	if total == 0 {
 		return 0
@@ -221,28 +204,9 @@ func bucketOf(d time.Duration) int {
 	return histBuckets
 }
 
-// quantile estimates the q-quantile (0 < q < 1) from the histogram as the
-// upper bound of the bucket holding the q-th observation; 0 with no data.
+// quantile estimates the q-quantile of the request latency histogram.
 func (m *Metrics) quantile(q float64) time.Duration {
-	total := m.histCnt.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var cum uint64
-	for i := 0; i <= histBuckets; i++ {
-		cum += m.hist[i].Load()
-		if cum > rank {
-			if i == histBuckets {
-				return histBase << uint(histBuckets-1)
-			}
-			return histBase << uint(i)
-		}
-	}
-	return histBase << uint(histBuckets-1)
+	return histQuantile(&m.hist, m.histCnt.Load(), q)
 }
 
 // WritePrometheus renders the registry in Prometheus text exposition

@@ -177,7 +177,7 @@ func (s *Server) handleSessionIndex(_ http.ResponseWriter, _ *http.Request) (any
 
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req MigrateRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := decode(w, r, &req, 1<<20); err != nil {
 		return nil, 0, err
 	}
 	if !strings.HasPrefix(req.Target, "http://") && !strings.HasPrefix(req.Target, "https://") {
@@ -191,7 +191,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) (any, int
 
 func (s *Server) handleMigratePrepare(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req migratePrepare
-	if err := decodeInternal(w, r, &req); err != nil {
+	if err := decode(w, r, &req, 1<<26); err != nil {
 		return nil, 0, err
 	}
 	return s.stagePrepare(&req)
@@ -199,25 +199,13 @@ func (s *Server) handleMigratePrepare(w http.ResponseWriter, r *http.Request) (a
 
 func (s *Server) handleMigrateCommit(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req migrateCommit
-	if err := decodeInternal(w, r, &req); err != nil {
+	if err := decode(w, r, &req, 1<<26); err != nil {
 		return nil, 0, err
 	}
 	ctx, cancel := s.requestCtx(r, 0)
 	defer cancel()
 	resp, err := s.commitMigration(ctx, &req)
 	return resp, 0, err
-}
-
-// decodeInternal is decode with the body cap migration payloads need (a
-// full session snapshot plus WAL tail can exceed the public 1 MiB cap).
-func decodeInternal[T any](w http.ResponseWriter, r *http.Request, dst *T) error {
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<26)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return badRequest("decoding request: %v", err)
-	}
-	return nil
 }
 
 // migrateTo hands session id to the replica at target. See the package
