@@ -8,6 +8,9 @@
 //	serve                          # listen on :8377
 //	serve -addr :9000 -timeout 5s
 //
+// newFlagSet declares every flag; README.md's serve flag table documents
+// each one, and TestFlagsDocumented keeps the two in step.
+//
 // Endpoints:
 //
 //	POST /v1/test        one feasibility test        {tasks, speeds|machines, scheduler, alpha}
@@ -17,6 +20,7 @@
 //	GET/DELETE /v1/sessions/{id}
 //	POST /v1/sessions/{id}/test     re-test           {alpha}
 //	POST /v1/sessions/{id}/tasks    admit a task      {task, force}
+//	POST /v1/sessions/{id}/admit-batch  admit several  {tasks, mode}
 //	DELETE /v1/sessions/{id}/tasks/{index}
 //	POST /v1/sessions/{id}/wcet     incremental WCET  {index, wcet, force}
 //	POST /v1/sessions/{id}/repartition  drift plan/apply  {apply, max_moves}
@@ -59,29 +63,53 @@ import (
 	"partfeas/internal/service"
 )
 
-func main() {
-	var (
-		addr     = flag.String("addr", ":8377", "listen address")
-		timeout  = flag.Duration("timeout", 30*time.Second, "default per-request deadline (requests may lower it via timeout_ms)")
-		maxTO    = flag.Duration("max-timeout", 120*time.Second, "upper clamp on any request deadline")
-		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight requests")
-		sessions = flag.Int("max-sessions", 1024, "admission-session cap")
-		budget   = flag.Int64("analyze-budget", 2_000_000, "default exact-adversary node budget for /v1/analyze")
-		dataDir  = flag.String("data-dir", "", "durability directory (write-ahead log + snapshots); empty disables durability")
-		fsyncInt = flag.Duration("fsync-interval", 5*time.Millisecond, "WAL group-commit fsync cadence; 0 fsyncs on every append (requires -data-dir)")
-		snapEvry = flag.Int("snapshot-every", 1024, "ops between automatic snapshots; 0 disables automatic snapshots (requires -data-dir)")
+// options holds the parsed serve flags.
+type options struct {
+	addr          string
+	timeout       time.Duration
+	maxTimeout    time.Duration
+	drain         time.Duration
+	maxSessions   int
+	analyzeBudget int64
+	dataDir       string
+	fsyncInterval time.Duration
+	snapshotEvery int
 
-		coord    = flag.Bool("coordinator", false, "run as a cluster coordinator instead of a replica")
-		replicas = flag.String("replicas", "", "comma-separated replica base URLs (requires -coordinator)")
-		vnodes   = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per replica on the hash ring (requires -coordinator)")
-		healthIv = flag.Duration("health-interval", 2*time.Second, "replica health-probe cadence (requires -coordinator)")
-	)
-	flag.Parse()
+	coordinator    bool
+	replicas       string
+	vnodes         int
+	healthInterval time.Duration
+}
+
+// newFlagSet registers every serve flag, bound to o. It is the one place
+// flags are declared, so the README check in main_test.go sees them all.
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+	fs.StringVar(&o.addr, "addr", ":8377", "listen address")
+	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "default per-request deadline (requests may lower it via timeout_ms)")
+	fs.DurationVar(&o.maxTimeout, "max-timeout", 120*time.Second, "upper clamp on any request deadline")
+	fs.DurationVar(&o.drain, "drain", 30*time.Second, "graceful-shutdown budget for in-flight requests")
+	fs.IntVar(&o.maxSessions, "max-sessions", 1024, "admission-session cap")
+	fs.Int64Var(&o.analyzeBudget, "analyze-budget", 2_000_000, "default exact-adversary node budget for /v1/analyze")
+	fs.StringVar(&o.dataDir, "data-dir", "", "durability directory (write-ahead log + snapshots); empty disables durability")
+	fs.DurationVar(&o.fsyncInterval, "fsync-interval", 5*time.Millisecond, "WAL group-commit fsync cadence; 0 fsyncs on every append (requires -data-dir)")
+	fs.IntVar(&o.snapshotEvery, "snapshot-every", 1024, "ops between automatic snapshots; 0 disables automatic snapshots (requires -data-dir)")
+
+	fs.BoolVar(&o.coordinator, "coordinator", false, "run as a cluster coordinator instead of a replica")
+	fs.StringVar(&o.replicas, "replicas", "", "comma-separated replica base URLs (requires -coordinator)")
+	fs.IntVar(&o.vnodes, "vnodes", cluster.DefaultVNodes, "virtual nodes per replica on the hash ring (requires -coordinator)")
+	fs.DurationVar(&o.healthInterval, "health-interval", 2*time.Second, "replica health-probe cadence (requires -coordinator)")
+	return fs
+}
+
+func main() {
+	var o options
+	_ = newFlagSet(&o).Parse(os.Args[1:]) // ExitOnError: a bad flag exits 2
 	var err error
-	if *coord {
-		err = runCoordinator(*addr, *replicas, *vnodes, *healthIv, *drain)
+	if o.coordinator {
+		err = runCoordinator(o.addr, o.replicas, o.vnodes, o.healthInterval, o.drain)
 	} else {
-		err = run(*addr, *timeout, *maxTO, *drain, *sessions, *budget, *dataDir, *fsyncInt, *snapEvry)
+		err = run(o.addr, o.timeout, o.maxTimeout, o.drain, o.maxSessions, o.analyzeBudget, o.dataDir, o.fsyncInterval, o.snapshotEvery)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)

@@ -1,14 +1,43 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 )
+
+// TestFlagsDocumented fails when a registered serve flag has no row in
+// README.md's serve flag table (a line starting "| `-name`").
+func TestFlagsDocumented(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]bool{}
+	for _, line := range strings.Split(string(readme), "\n") {
+		if rest, ok := strings.CutPrefix(line, "| `-"); ok {
+			if name, _, ok := strings.Cut(rest, "`"); ok {
+				rows[name] = true
+			}
+		}
+	}
+	n := 0
+	newFlagSet(&options{}).VisitAll(func(f *flag.Flag) {
+		n++
+		if !rows[f.Name] {
+			t.Errorf("serve flag -%s has no row in README.md's serve flag table", f.Name)
+		}
+	})
+	if n == 0 {
+		t.Fatal("newFlagSet registered no flags")
+	}
+}
 
 func TestRunBadAddr(t *testing.T) {
 	err := run("127.0.0.1:99999", time.Second, time.Second, time.Second, 1, 1000, "", 0, 0)

@@ -129,9 +129,10 @@ type TestResponse struct {
 
 // TestResponseFrom builds the wire response for a library Report. The
 // slices are deep-copied, so the response stays valid after the Report's
-// backing Tester or session engine answers its next query. That copy is
-// what lets a session op release s.mu before WriteJSON encodes the
-// response: encoding never runs under the session lock.
+// backing session engine answers its next query; that copy is what lets
+// a session read (GET, /test) release s.mu before WriteJSON encodes the
+// response. It costs O(n) in the assignment, which is why the mutation
+// responses carry a TestSummary instead.
 func TestResponseFrom(rep partfeas.Report) TestResponse {
 	resp := TestResponse{
 		Accepted:   rep.Accepted,
@@ -142,6 +143,32 @@ func TestResponseFrom(rep partfeas.Report) TestResponse {
 		FailedTask: rep.Partition.FailedTask,
 	}
 	return resp
+}
+
+// TestSummary is the test block of a mutation response (admit, remove,
+// WCET update, admit-batch): the TestResponse of the same Report without
+// its n-entry assignment, so a mutation answers in O(m) however many
+// tasks the session holds. The full placement stays on GET
+// /v1/sessions/{id} and POST /v1/sessions/{id}/test; the mutation
+// response names only where its own task went (machine / machines).
+type TestSummary struct {
+	Accepted   bool      `json:"accepted"`
+	Scheduler  string    `json:"scheduler"`
+	Alpha      float64   `json:"alpha"`
+	Loads      []float64 `json:"loads"`
+	FailedTask int       `json:"failed_task"`
+}
+
+// summaryFrom builds a mutation's test block; like TestResponseFrom it
+// copies the loads, so the summary outlives the engine's next op.
+func summaryFrom(rep partfeas.Report) TestSummary {
+	return TestSummary{
+		Accepted:   rep.Accepted,
+		Scheduler:  rep.Scheduler.String(),
+		Alpha:      rep.Alpha,
+		Loads:      append([]float64(nil), rep.Partition.Loads...),
+		FailedTask: rep.Partition.FailedTask,
+	}
 }
 
 // MinAlphaRequest asks for the smallest accepted augmentation.
@@ -284,13 +311,16 @@ type BatchAdmissionResponse struct {
 	Mode string `json:"mode"`
 	// Admitted holds one verdict per input task, in input order.
 	Admitted []bool `json:"admitted"`
+	// Machines is parallel to Admitted: an admitted task's entry in the
+	// assignment of the set Test describes, -1 for a task not admitted.
+	Machines []int `json:"machines"`
 	// NAdmitted counts true verdicts; NTasks is the session's task count
 	// after the operation.
 	NAdmitted int `json:"n_admitted"`
 	NTasks    int `json:"n_tasks"`
-	// Test is the session state after the batch on any admission, or the
-	// rejection witness when nothing was admitted.
-	Test TestResponse `json:"test"`
+	// Test summarizes the session state after the batch on any
+	// admission, or the rejection witness when nothing was admitted.
+	Test TestSummary `json:"test"`
 	// Durability reports how the acknowledgement is backed: "wal" when
 	// the op was appended to the write-ahead log before this response,
 	// "none" when the server runs without a data directory.
@@ -324,9 +354,13 @@ type AdmissionResponse struct {
 	RolledBack bool `json:"rolled_back"`
 	// NTasks is the session's task count after the operation.
 	NTasks int `json:"n_tasks"`
-	// Test is the re-test outcome for the mutated (or rolled-back
-	// tentative) set.
-	Test TestResponse `json:"test"`
+	// Machine is, for an admit or a WCET update, the op task's entry in
+	// the assignment of the set Test describes: its machine index, or -1
+	// when that set leaves it unplaced. A remove omits it.
+	Machine *int `json:"machine,omitempty"`
+	// Test summarizes the re-test outcome for the mutated (or
+	// rolled-back tentative) set.
+	Test TestSummary `json:"test"`
 	// Durability reports how the acknowledgement is backed: "wal" when
 	// the op was appended to the write-ahead log before this response,
 	// "none" when the server runs without a data directory.

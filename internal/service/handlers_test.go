@@ -528,7 +528,9 @@ func TestSessionLimit(t *testing.T) {
 
 // TestSessionIncrementalMatchesRebuild proves the incremental
 // UpdateWCET path decides bit-identically to a from-scratch tester at
-// every step of a growth sweep.
+// every step of a growth sweep: the response's verdict, loads,
+// failed_task and machine match the rebuilt report, and a GET's full
+// test block (assignment included) equals it byte for byte.
 func TestSessionIncrementalMatchesRebuild(t *testing.T) {
 	s := newTestServer(t)
 	w := do(t, s, "POST", "/v1/sessions",
@@ -565,8 +567,20 @@ func TestSessionIncrementalMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := encode(t, ar.Test), encode(t, TestResponseFrom(rep)); got != want {
-			t.Errorf("step %d: incremental %s != rebuilt %s", step, got, want)
+		rebuilt := TestResponseFrom(rep)
+		name := fmt.Sprintf("step %d", step)
+		if !ar.Admitted || ar.RolledBack || ar.NTasks != len(tasks) {
+			t.Fatalf("%s: %s", name, w.Body)
+		}
+		checkSummary(t, name, ar.Test, rebuilt)
+		checkMachine(t, name, ar.Machine, rebuilt, upd.idx)
+		g := do(t, s, "GET", "/v1/sessions/"+st.ID, "")
+		var got SessionResponse
+		if err := json.Unmarshal(g.Body.Bytes(), &got); err != nil || g.Code != http.StatusOK {
+			t.Fatalf("%s: get: %d %s", name, g.Code, g.Body)
+		}
+		if got, want := encode(t, got.Test), encode(t, rebuilt); got != want {
+			t.Errorf("%s: incremental %s != rebuilt %s", name, got, want)
 		}
 	}
 }

@@ -554,13 +554,16 @@ func (s *session) addTaskLocked(ctx context.Context, t partfeas.Task, dl int64, 
 		return AdmissionResponse{}, err
 	}
 	ctx = s.dur.applyCtx(ctx)
+	idx := len(s.in.Tasks) // t's index in the tentative set and, committed, in the resident one
 	if s.eng == nil {
 		rep, err := s.resolveLocked(ctx, append(s.in.Tasks.Clone(), t), force)
 		if err != nil {
 			return AdmissionResponse{}, err
 		}
-		admitted := rep.Accepted || force
-		return AdmissionResponse{Admitted: admitted, RolledBack: !admitted, NTasks: len(s.in.Tasks), Test: TestResponseFrom(rep)}, nil
+		resp := admissionFor(rep, idx)
+		resp.Admitted = rep.Accepted || force
+		resp.RolledBack, resp.NTasks = !resp.Admitted, len(s.in.Tasks)
+		return resp, nil
 	}
 	start := time.Now()
 	res, admitted, err := s.eng.AdmitConstrained(constrainedTask(t, dl))
@@ -568,7 +571,8 @@ func (s *session) addTaskLocked(ctx context.Context, t partfeas.Task, dl int64, 
 		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
 	}
 	s.observeAdmission(start)
-	resp := AdmissionResponse{Admitted: admitted || force, Test: TestResponseFrom(s.engReport(res))}
+	resp := admissionFor(s.engReport(res), idx)
+	resp.Admitted = admitted || force
 	switch {
 	case admitted:
 		s.in.Tasks = append(s.in.Tasks, t)
@@ -581,6 +585,24 @@ func (s *session) addTaskLocked(ctx context.Context, t partfeas.Task, dl int64, 
 	}
 	resp.NTasks = len(s.in.Tasks)
 	return resp, nil
+}
+
+// admissionFor answers an admit or a WCET update from rep: its summary
+// plus the op task's entry, at index task, in rep's assignment. Both are
+// O(m) to build and copy nothing of rep that the engine's next op could
+// overwrite.
+func admissionFor(rep partfeas.Report, task int) AdmissionResponse {
+	m := machineOf(rep, task)
+	return AdmissionResponse{Machine: &m, Test: summaryFrom(rep)}
+}
+
+// machineOf is task i's entry in rep's assignment: its machine index, or
+// -1 when rep leaves it unplaced or does not cover it.
+func machineOf(rep partfeas.Report, i int) int {
+	if as := rep.Partition.Assignment; i >= 0 && i < len(as) {
+		return as[i]
+	}
+	return -1
 }
 
 // observeAdmission classifies the engine's most recent single admit as
@@ -732,7 +754,11 @@ func (s *session) engineBatch(ts []partfeas.Task, dls []int64, mode online.Batch
 	return res, admitted, nil
 }
 
-// batchResponse answers a batch over the session's committed set.
+// batchResponse answers a batch over the session's committed set. The
+// admitted tasks were appended in input order, so they are the last
+// NAdmitted resident tasks, and each one's machine is its entry at that
+// index in rep: rep covers the committed set whenever anything was
+// admitted (a fallback witness covers it plus one rejected candidate).
 func (s *session) batchResponse(mode online.BatchMode, admitted []bool, rep partfeas.Report) BatchAdmissionResponse {
 	n := 0
 	for _, ok := range admitted {
@@ -740,12 +766,22 @@ func (s *session) batchResponse(mode online.BatchMode, admitted []bool, rep part
 			n++
 		}
 	}
+	machines := make([]int, len(admitted))
+	next := len(s.in.Tasks) - n
+	for i, ok := range admitted {
+		machines[i] = -1
+		if ok {
+			machines[i] = machineOf(rep, next)
+			next++
+		}
+	}
 	return BatchAdmissionResponse{
 		Mode:      mode.String(),
 		Admitted:  admitted,
+		Machines:  machines,
 		NAdmitted: n,
 		NTasks:    len(s.in.Tasks),
-		Test:      TestResponseFrom(rep),
+		Test:      summaryFrom(rep),
 	}
 }
 
@@ -789,13 +825,13 @@ func (s *session) removeTask(ctx context.Context, idx int) (AdmissionResponse, e
 		if err != nil {
 			return AdmissionResponse{}, err
 		}
-		return AdmissionResponse{Admitted: rep.Accepted, NTasks: len(s.in.Tasks), Test: TestResponseFrom(rep)}, nil
+		return AdmissionResponse{Admitted: rep.Accepted, NTasks: len(s.in.Tasks), Test: summaryFrom(rep)}, nil
 	}
 	res, ok, err := s.eng.Remove(idx)
 	if err != nil {
 		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
 	}
-	resp := AdmissionResponse{Admitted: ok, Test: TestResponseFrom(s.engReport(res))}
+	resp := AdmissionResponse{Admitted: ok, Test: summaryFrom(s.engReport(res))}
 	switch {
 	case ok:
 		// The engine holds its own copy of the tasks, so the session's
@@ -839,14 +875,17 @@ func (s *session) updateWCET(ctx context.Context, idx int, wcet int64, force boo
 		if err != nil {
 			return AdmissionResponse{}, err
 		}
-		admitted := rep.Accepted || force
-		return AdmissionResponse{Admitted: admitted, RolledBack: !admitted, NTasks: len(s.in.Tasks), Test: TestResponseFrom(rep)}, nil
+		resp := admissionFor(rep, idx)
+		resp.Admitted = rep.Accepted || force
+		resp.RolledBack, resp.NTasks = !resp.Admitted, len(s.in.Tasks)
+		return resp, nil
 	}
 	res, ok, err := s.eng.UpdateWCET(idx, wcet)
 	if err != nil {
 		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
 	}
-	resp := AdmissionResponse{Admitted: ok || force, Test: TestResponseFrom(s.engReport(res))}
+	resp := admissionFor(s.engReport(res), idx)
+	resp.Admitted = ok || force
 	switch {
 	case ok:
 		s.in.Tasks[idx].WCET = wcet

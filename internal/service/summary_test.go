@@ -1,0 +1,482 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"slices"
+	"testing"
+
+	"partfeas"
+	"partfeas/internal/dbf"
+	"partfeas/internal/online"
+	"partfeas/internal/partition"
+)
+
+// summaryOf is the mutation test block a full test response becomes:
+// every field but the assignment.
+func summaryOf(full TestResponse) TestSummary {
+	return TestSummary{
+		Accepted:   full.Accepted,
+		Scheduler:  full.Scheduler,
+		Alpha:      full.Alpha,
+		Loads:      full.Loads,
+		FailedTask: full.FailedTask,
+	}
+}
+
+// entryOf is task i's entry in full's assignment, -1 past its end.
+func entryOf(full TestResponse, i int) int {
+	if i >= 0 && i < len(full.Assignment) {
+		return full.Assignment[i]
+	}
+	return -1
+}
+
+// checkSummary holds a mutation's test block to the full test response
+// of the same report, byte for byte once the assignment is dropped.
+func checkSummary(t testing.TB, step string, got TestSummary, full TestResponse) {
+	t.Helper()
+	if g, w := encode(t, got), encode(t, summaryOf(full)); g != w {
+		t.Fatalf("%s: test block\n got %s\nwant %s", step, g, w)
+	}
+}
+
+// checkMachine holds a mutation's machine field to task's entry in full;
+// task < 0 (a remove) wants the field absent.
+func checkMachine(t testing.TB, step string, got *int, full TestResponse, task int) {
+	t.Helper()
+	switch {
+	case task < 0 && got != nil:
+		t.Fatalf("%s: machine %d on a remove, want none", step, *got)
+	case task >= 0 && got == nil:
+		t.Fatalf("%s: no machine, want task %d's entry %d", step, task, entryOf(full, task))
+	case task >= 0 && *got != entryOf(full, task):
+		t.Fatalf("%s: machine %d, want task %d's entry %d", step, *got, task, entryOf(full, task))
+	}
+}
+
+// refSession is a reference model of a session's op semantics: its own
+// engine while the resident set is feasible, the paper's batch test
+// while it is not. Each op returns the full test response of the report
+// the served mutation must summarize.
+type refSession struct {
+	in          partfeas.Instance // Tasks is the resident set
+	alpha       float64
+	opts        online.Options
+	constrained bool
+	eng         *online.Engine // nil while disarmed
+}
+
+// outcome is one reference mutation: the full response of its report,
+// the verdict, and where the op's task sits in the report's set (-1 for
+// a remove). batch holds a batch's per-task verdicts.
+type outcome struct {
+	full                 TestResponse
+	admitted, rolledBack bool
+	task                 int
+	batch                []bool
+}
+
+func (r *refSession) engFull(res partition.Result) TestResponse {
+	return TestResponseFrom(partfeas.Report{Accepted: res.Feasible, Scheduler: r.in.Scheduler, Alpha: res.Alpha, Partition: res})
+}
+
+func (r *refSession) fresh(t testing.TB, ts partfeas.TaskSet) partfeas.Report {
+	t.Helper()
+	rep, err := partfeas.Test(ts, r.in.Platform, r.in.Scheduler, r.alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// commit makes ts resident with the engine disarmed, re-arming it when
+// the batch test accepted ts.
+func (r *refSession) commit(ts partfeas.TaskSet, accepted bool) {
+	r.in.Tasks, r.eng = ts, nil
+	if accepted {
+		if eng, err := online.NewEngine(ts, r.in.Platform, r.opts); err == nil {
+			r.eng = eng
+		}
+	}
+}
+
+// current is the full test block a GET must answer.
+func (r *refSession) current(t testing.TB) TestResponse {
+	if r.eng == nil {
+		return TestResponseFrom(r.fresh(t, r.in.Tasks))
+	}
+	return r.engFull(r.eng.Result())
+}
+
+// change runs an admit (idx = len) or a WCET update (idx < len): cand is
+// the tentative set, try the engine's answer while armed.
+func (r *refSession) change(t testing.TB, cand partfeas.TaskSet, idx int, force bool, try func() (partition.Result, bool, error)) outcome {
+	t.Helper()
+	if r.eng == nil {
+		rep := r.fresh(t, cand)
+		ok := rep.Accepted || force
+		if ok {
+			r.commit(cand, rep.Accepted)
+		}
+		return outcome{full: TestResponseFrom(rep), admitted: ok, rolledBack: !ok, task: idx}
+	}
+	res, ok, err := try()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := outcome{full: r.engFull(res), admitted: ok || force, rolledBack: !(ok || force), task: idx}
+	switch {
+	case ok:
+		r.in.Tasks = cand
+	case force:
+		r.commit(cand, false)
+	}
+	return o
+}
+
+func (r *refSession) admit(t testing.TB, tk partfeas.Task, dl int64, force bool) outcome {
+	t.Helper()
+	return r.change(t, append(r.in.Tasks.Clone(), tk), len(r.in.Tasks), force, func() (partition.Result, bool, error) {
+		return r.eng.AdmitConstrained(constrainedTask(tk, dl))
+	})
+}
+
+func (r *refSession) updateWCET(t testing.TB, idx int, wcet int64, force bool) outcome {
+	t.Helper()
+	cand := r.in.Tasks.Clone()
+	cand[idx].WCET = wcet
+	return r.change(t, cand, idx, force, func() (partition.Result, bool, error) {
+		return r.eng.UpdateWCET(idx, wcet)
+	})
+}
+
+func (r *refSession) remove(t testing.TB, idx int) outcome {
+	t.Helper()
+	cand := slices.Delete(r.in.Tasks.Clone(), idx, idx+1)
+	if r.eng == nil {
+		rep := r.fresh(t, cand)
+		r.commit(cand, rep.Accepted)
+		return outcome{full: TestResponseFrom(rep), admitted: rep.Accepted, task: -1}
+	}
+	res, ok, err := r.eng.Remove(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := outcome{full: r.engFull(res), admitted: ok, task: -1}
+	switch {
+	case ok:
+		r.in.Tasks = cand
+	case r.constrained:
+		o.rolledBack = true
+	default:
+		r.commit(cand, false)
+	}
+	return o
+}
+
+func (r *refSession) engineBatch(t testing.TB, ts []partfeas.Task, dls []int64, mode online.BatchMode) (partition.Result, []bool) {
+	t.Helper()
+	cs := make(dbf.Set, len(ts))
+	for i, tk := range ts {
+		cs[i] = constrainedTask(tk, deadlineAt(dls, i))
+	}
+	res, admitted, err := r.eng.AdmitBatchConstrained(cs, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ok := range admitted {
+		if ok {
+			r.in.Tasks = append(r.in.Tasks, ts[i])
+		}
+	}
+	return res, admitted
+}
+
+func (r *refSession) admitBatch(t testing.TB, ts []partfeas.Task, dls []int64, mode online.BatchMode) outcome {
+	t.Helper()
+	switch {
+	case len(ts) == 0:
+		return outcome{full: r.current(t), batch: []bool{}}
+	case r.eng != nil:
+		res, admitted := r.engineBatch(t, ts, dls, mode)
+		return outcome{full: r.engFull(res), batch: admitted}
+	}
+	admitted := make([]bool, len(ts))
+	if mode == online.AllOrNothing {
+		cand := append(r.in.Tasks.Clone(), ts...)
+		rep := r.fresh(t, cand)
+		if rep.Accepted {
+			r.commit(cand, true)
+		}
+		for i := range admitted {
+			admitted[i] = rep.Accepted
+		}
+		return outcome{full: TestResponseFrom(rep), batch: admitted}
+	}
+	var rep partfeas.Report
+	for i, tk := range ts {
+		if r.eng != nil {
+			_, rest := r.engineBatch(t, ts[i:], nil, online.BestEffort)
+			copy(admitted[i:], rest)
+			break
+		}
+		cand := append(r.in.Tasks.Clone(), tk)
+		rep = r.fresh(t, cand)
+		if rep.Accepted {
+			r.commit(cand, true)
+		}
+		admitted[i] = rep.Accepted
+	}
+	if r.eng != nil {
+		return outcome{full: r.engFull(r.eng.Result()), batch: admitted}
+	}
+	return outcome{full: TestResponseFrom(rep), batch: admitted}
+}
+
+// diffCase is one session shape of the differential.
+type diffCase struct {
+	name, placement, scheduler string
+	constrained                bool
+	force                      bool // draw forced ops (and utilization-3 hogs)
+	disarm                     bool // open by force-admitting a hog
+}
+
+// TestMutationSummaryDifferential drives seeded op mixes through the
+// handler and holds every mutation response to a reference model: the
+// body must equal, byte for byte, the full response of the report the
+// reference derives, with the assignment dropped and machine / machines
+// set to the op tasks' entries in it. After every op a GET's full test
+// block must equal the reference's resident state, and a committed op's
+// loads must byte-equal that GET's loads.
+func TestMutationSummaryDifferential(t *testing.T) {
+	for _, c := range []diffCase{
+		{name: "first_fit_sorted", placement: "first_fit_sorted", scheduler: "edf", force: true},
+		{name: "best_fit", placement: "best_fit", scheduler: "edf"},
+		{name: "first_fit_arrival", placement: "first_fit_arrival", scheduler: "rms"},
+		{name: "constrained", placement: "first_fit_sorted", scheduler: "edf", constrained: true},
+		{name: "force_disarmed", placement: "first_fit_sorted", scheduler: "rms", force: true, disarm: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 3; seed++ {
+				runDifferential(t, c, seed, 120)
+			}
+		})
+	}
+}
+
+func runDifferential(t *testing.T, c diffCase, seed int64, ops int) {
+	rng := rand.New(rand.NewSource(seed))
+	speeds := []float64{1, 2, 1.5}
+	periods := []int64{50, 100, 200}
+	// draw returns one task in wire form (with a deadline on constrained
+	// sessions) and in library form; with hogs, one in 12 has utilization 3.
+	draw := func(hogs bool) (TaskJSON, partfeas.Task) {
+		p := periods[rng.Intn(len(periods))]
+		w := 1 + rng.Int63n(p*6/10)
+		if hogs && rng.Intn(12) == 0 {
+			w = 3 * p
+		}
+		tj := TaskJSON{WCET: w, Period: p}
+		if c.constrained {
+			tj.Deadline = w + rng.Int63n(p-w+1)
+		}
+		return tj, partfeas.Task{WCET: w, Period: p}
+	}
+
+	create := CreateSessionRequest{Placement: c.placement}
+	create.Speeds, create.Scheduler = speeds, c.scheduler
+	if c.constrained {
+		create.DeadlineModel = "constrained"
+	}
+	in := partfeas.Instance{Platform: partfeas.NewPlatform(speeds...)}
+	var dls []int64
+	for i := 0; i < 4; i++ {
+		tj, tk := draw(false)
+		create.Tasks = append(create.Tasks, tj)
+		in.Tasks = append(in.Tasks, tk)
+		dls = append(dls, tj.Deadline)
+	}
+	in.Scheduler = partfeas.EDF
+	if c.scheduler == "rms" {
+		in.Scheduler = partfeas.RMS
+	}
+	pol, err := online.ParsePolicy(c.placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adm, _ := in.Scheduler.Admission()
+	ref := &refSession{in: in, alpha: 1, constrained: c.constrained, opts: online.Options{Policy: pol, Alpha: 1, Admission: adm}}
+	if c.constrained {
+		ref.opts.Deadlines = dls
+	}
+	if ref.eng, err = online.NewEngine(in.Tasks, in.Platform, ref.opts); err != nil {
+		t.Fatalf("seed %d: reference engine: %v", seed, err)
+	}
+	ref.opts.Deadlines = nil // later re-arms are implicit-only
+
+	s := newTestServer(t)
+	body, _ := json.Marshal(create)
+	w := do(t, s, http.MethodPost, "/v1/sessions", string(body))
+	if w.Code != http.StatusCreated {
+		t.Fatalf("seed %d: create: %d %s", seed, w.Code, w.Body)
+	}
+	var created SessionResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &created); err != nil {
+		t.Fatal(err)
+	}
+	base := "/v1/sessions/" + created.ID
+
+	var counts struct{ rolledBack, disarmed, batchAdmits, committed int }
+	for op := 0; op < ops; op++ {
+		step := fmt.Sprintf("seed %d op %d", seed, op)
+		force := c.force && rng.Intn(4) == 0
+		var o outcome
+		var method, path, mode string
+		var req any
+		switch k := rng.Intn(10); {
+		case op == 0 && c.disarm:
+			hog := partfeas.Task{WCET: 300, Period: 100}
+			method, path = http.MethodPost, "/tasks"
+			req = AddTaskRequest{Task: TaskJSON{WCET: hog.WCET, Period: hog.Period}, Force: true}
+			o = ref.admit(t, hog, 0, true)
+		case k < 4:
+			tj, tk := draw(c.force)
+			method, path = http.MethodPost, "/tasks"
+			req = AddTaskRequest{Task: tj, Force: force}
+			o = ref.admit(t, tk, tj.Deadline, force)
+		case k < 6 && len(ref.in.Tasks) > 1:
+			idx := rng.Intn(len(ref.in.Tasks))
+			method, path = http.MethodDelete, fmt.Sprintf("/tasks/%d", idx)
+			o = ref.remove(t, idx)
+		case k < 8:
+			idx := rng.Intn(len(ref.in.Tasks))
+			limit := ref.in.Tasks[idx].Period
+			if c.constrained {
+				limit = ref.eng.Deadline(idx)
+			}
+			wcet := 1 + rng.Int63n(limit)
+			method, path = http.MethodPost, "/wcet"
+			req = UpdateWCETRequest{Index: idx, WCET: wcet, Force: force}
+			o = ref.updateWCET(t, idx, wcet, force)
+		default:
+			bm := online.BestEffort
+			if rng.Intn(3) == 0 {
+				bm = online.AllOrNothing
+			}
+			mode = bm.String()
+			br := AdmitBatchRequest{Mode: mode}
+			var ts []partfeas.Task
+			var bdls []int64
+			for i := rng.Intn(5); i > 0; i-- {
+				tj, tk := draw(c.force)
+				br.Tasks = append(br.Tasks, tj)
+				ts = append(ts, tk)
+				bdls = append(bdls, tj.Deadline)
+			}
+			method, path, req = http.MethodPost, "/admit-batch", br
+			o = ref.admitBatch(t, ts, bdls, bm)
+		}
+		reqBody := ""
+		if req != nil {
+			b, _ := json.Marshal(req)
+			reqBody = string(b)
+		}
+		w := do(t, s, method, base+path, reqBody)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: %s %s %s: %d %s", step, method, path, reqBody, w.Code, w.Body)
+		}
+
+		var want any
+		committed := false
+		if o.batch != nil {
+			n := 0
+			for _, ok := range o.batch {
+				if ok {
+					n++
+				}
+			}
+			machines := make([]int, len(o.batch))
+			next := len(ref.in.Tasks) - n
+			for i, ok := range o.batch {
+				machines[i] = -1
+				if ok {
+					machines[i] = entryOf(o.full, next)
+					next++
+				}
+			}
+			want = BatchAdmissionResponse{
+				Mode: mode, Admitted: o.batch, Machines: machines, NAdmitted: n,
+				NTasks: len(ref.in.Tasks), Test: summaryOf(o.full), Durability: "none",
+			}
+			committed = n > 0 && o.full.Accepted
+			if n > 0 {
+				counts.batchAdmits++
+			}
+		} else {
+			ar := AdmissionResponse{
+				Admitted: o.admitted, RolledBack: o.rolledBack, NTasks: len(ref.in.Tasks),
+				Test: summaryOf(o.full), Durability: "none",
+			}
+			if o.task >= 0 {
+				m := entryOf(o.full, o.task)
+				ar.Machine = &m
+			}
+			want = ar
+			committed = o.admitted && !o.rolledBack && o.full.Accepted
+		}
+		if got, want := w.Body.String(), encode(t, want); got != want {
+			t.Fatalf("%s: %s %s %s:\n got %s\nwant %s", step, method, path, reqBody, got, want)
+		}
+		if o.rolledBack {
+			counts.rolledBack++
+		}
+		if ref.eng == nil {
+			counts.disarmed++
+		}
+
+		g := do(t, s, http.MethodGet, base, "")
+		var st struct {
+			Tasks []TaskJSON      `json:"tasks"`
+			Test  json.RawMessage `json:"test"`
+		}
+		if err := json.Unmarshal(g.Body.Bytes(), &st); err != nil || g.Code != http.StatusOK {
+			t.Fatalf("%s: get: %d %s", step, g.Code, g.Body)
+		}
+		if len(st.Tasks) != len(ref.in.Tasks) {
+			t.Fatalf("%s: get lists %d tasks, reference holds %d", step, len(st.Tasks), len(ref.in.Tasks))
+		}
+		cur, _ := json.Marshal(ref.current(t))
+		if !bytes.Equal(st.Test, cur) {
+			t.Fatalf("%s: get test block\n got %s\nwant %s", step, st.Test, cur)
+		}
+		if committed {
+			counts.committed++
+			if got, want := loadsOf(t, w.Body.Bytes()), loadsOf(t, g.Body.Bytes()); !bytes.Equal(got, want) {
+				t.Fatalf("%s: committed op's loads %s, next GET's %s", step, got, want)
+			}
+		}
+	}
+	t.Logf("seed %d: %d ops, %d rolled back, %d answered disarmed, %d batches admitting, %d committed",
+		seed, ops, counts.rolledBack, counts.disarmed, counts.batchAdmits, counts.committed)
+	if counts.rolledBack == 0 || counts.committed == 0 || counts.batchAdmits == 0 || (c.disarm && counts.disarmed == 0) {
+		t.Fatalf("seed %d: op mix too narrow: %+v", seed, counts)
+	}
+}
+
+// loadsOf is the raw loads array of a body's test block.
+func loadsOf(t testing.TB, body []byte) json.RawMessage {
+	t.Helper()
+	var v struct {
+		Test struct {
+			Loads json.RawMessage `json:"loads"`
+		} `json:"test"`
+	}
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatal(err)
+	}
+	return v.Test.Loads
+}

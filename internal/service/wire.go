@@ -10,9 +10,12 @@ import (
 )
 
 // The hot response types encode through hand-written appenders instead
-// of reflection: their bodies carry the session's n-entry assignment and
-// m-entry loads, so encoding/json's per-element reflection and garbage
-// used to dominate a served admit. Each appendJSON writes exactly what
+// of reflection: they answer every served session op, so encoding/json's
+// per-element reflection and garbage used to dominate a served admit.
+// The mutation responses carry a TestSummary (m-entry loads, no
+// assignment), so their bodies are O(m); only the full TestResponse of a
+// GET or /test writes the session's n-entry assignment. Each appendJSON
+// writes exactly what
 // json.NewEncoder(w).Encode writes, minus the trailing newline: fields in
 // declaration order, omitempty as tagged, null for a nil slice, floats by
 // encoding/json's 'f'/'e' rule, and strings raw only when no byte needs
@@ -29,36 +32,26 @@ func (r TestResponse) appendJSON(b []byte) ([]byte, bool) {
 	b = append(b, `,"alpha":`...)
 	b, ok := appendFloat(b, r.Alpha)
 	b = append(b, `,"assignment":`...)
-	if r.Assignment == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for i, v := range r.Assignment {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, int64(v), 10)
-		}
-		b = append(b, ']')
-	}
+	b = appendInts(b, r.Assignment)
 	b = append(b, `,"loads":`...)
-	if r.Loads == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for i, v := range r.Loads {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			var fok bool
-			b, fok = appendFloat(b, v)
-			ok = ok && fok
-		}
-		b = append(b, ']')
-	}
+	b, lok := appendFloats(b, r.Loads)
 	b = append(b, `,"failed_task":`...)
 	b = strconv.AppendInt(b, int64(r.FailedTask), 10)
-	return append(b, '}'), ok
+	return append(b, '}'), ok && lok
+}
+
+func (r TestSummary) appendJSON(b []byte) ([]byte, bool) {
+	b = append(b, `{"accepted":`...)
+	b = strconv.AppendBool(b, r.Accepted)
+	b = append(b, `,"scheduler":`...)
+	b = appendString(b, r.Scheduler)
+	b = append(b, `,"alpha":`...)
+	b, ok := appendFloat(b, r.Alpha)
+	b = append(b, `,"loads":`...)
+	b, lok := appendFloats(b, r.Loads)
+	b = append(b, `,"failed_task":`...)
+	b = strconv.AppendInt(b, int64(r.FailedTask), 10)
+	return append(b, '}'), ok && lok
 }
 
 func (r AdmissionResponse) appendJSON(b []byte) ([]byte, bool) {
@@ -68,6 +61,10 @@ func (r AdmissionResponse) appendJSON(b []byte) ([]byte, bool) {
 	b = strconv.AppendBool(b, r.RolledBack)
 	b = append(b, `,"n_tasks":`...)
 	b = strconv.AppendInt(b, int64(r.NTasks), 10)
+	if r.Machine != nil {
+		b = append(b, `,"machine":`...)
+		b = strconv.AppendInt(b, int64(*r.Machine), 10)
+	}
 	b = append(b, `,"test":`...)
 	b, ok := r.Test.appendJSON(b)
 	b = appendDurability(b, r.Durability)
@@ -90,6 +87,8 @@ func (r BatchAdmissionResponse) appendJSON(b []byte) ([]byte, bool) {
 		}
 		b = append(b, ']')
 	}
+	b = append(b, `,"machines":`...)
+	b = appendInts(b, r.Machines)
 	b = append(b, `,"n_admitted":`...)
 	b = strconv.AppendInt(b, int64(r.NAdmitted), 10)
 	b = append(b, `,"n_tasks":`...)
@@ -176,6 +175,40 @@ func (m MachineJSON) appendJSON(b []byte) ([]byte, bool) {
 	b = append(b, `"speed":`...)
 	b, ok := appendFloat(b, m.Speed)
 	return append(b, '}'), ok
+}
+
+// appendInts writes an int slice: null when nil.
+func appendInts(b []byte, vs []int) []byte {
+	if vs == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, ']')
+}
+
+// appendFloats writes a float slice: null when nil, false when any
+// element is NaN or ±Inf.
+func appendFloats(b []byte, vs []float64) ([]byte, bool) {
+	if vs == nil {
+		return append(b, "null"...), true
+	}
+	ok := true
+	b = append(b, '[')
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var fok bool
+		b, fok = appendFloat(b, v)
+		ok = ok && fok
+	}
+	return append(b, ']'), ok
 }
 
 // appendDurability writes the omitempty durability field the three
