@@ -129,26 +129,20 @@ func (e *Engine) admitBatch(ts []task.Task, dls []int64, mode BatchMode) (res pa
 	e.begin(edit{op: opBatchInsert, id: n0, kOld: kmin})
 	e.stats = OpStats{ReplayFrom: kmin, BatchSize: len(ts)}
 	failID := e.replayFrom(kmin)
-	if perr := e.takeProbeErr(); perr != nil {
+	if failID >= 0 && mode == BestEffort && e.probeErr == nil {
+		// Best effort with a conflicting batch: fall back to the
+		// sequential path, which is the mode's defining semantics.
 		e.rollback()
-		return partition.Result{}, nil, fmt.Errorf("online: %w", perr)
+		return e.admitBatchSequential(ts, dls, mode)
 	}
-	if failID < 0 {
-		e.commit()
+	res, ok, err := e.settle(failID, -1, false)
+	if err == nil {
 		admitted = make([]bool, len(ts))
 		for i := range admitted {
-			admitted[i] = true
+			admitted[i] = ok
 		}
-		return e.Result(), admitted, nil
 	}
-	res = e.failResult(failID, -1)
-	e.rollback()
-	if mode == AllOrNothing {
-		return res, make([]bool, len(ts)), nil
-	}
-	// Best effort with a conflicting batch: fall back to the sequential
-	// path, which is the mode's defining semantics.
-	return e.admitBatchSequential(ts, dls, mode)
+	return res, admitted, err
 }
 
 // admitBatchSequential admits the batch one task at a time. For
@@ -165,7 +159,7 @@ func (e *Engine) admitBatchSequential(ts []task.Task, dls []int64, mode BatchMod
 		if dls != nil {
 			d = dls[i]
 		}
-		r, ok, err := e.admitOne(t, d)
+		r, ok, err := e.admitOne(t, d, false)
 		if err != nil {
 			return partition.Result{}, nil, err
 		}

@@ -85,7 +85,7 @@ func (e *Engine) AdmitConstrained(t dbf.Task) (res partition.Result, admitted bo
 	if e.kind != admDBF {
 		return partition.Result{}, false, fmt.Errorf("online: implicit-deadline engine cannot admit constrained deadline %d < period %d", t.Deadline, t.Period)
 	}
-	return e.admitOne(tt, t.Deadline)
+	return e.admitOne(tt, t.Deadline, false)
 }
 
 // AdmitBatchConstrained is AdmitBatch for constrained-deadline tasks;

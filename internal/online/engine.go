@@ -44,8 +44,17 @@
 //
 // All mutations are transactional: a mutation that would make the set
 // infeasible is rolled back via an undo journal and the engine stays in
-// its previous (feasible) state, while the caller still receives the
-// failed partition witness a fresh solve would have reported.
+// its previous state, while the caller still receives the failed
+// partition witness a fresh solve would have reported.
+//
+// A first_fit_sorted engine with implicit deadlines can also commit
+// that witness (ForceAdmit, ForceRemove, ForceUpdateWCET, or NewEngine
+// over an infeasible set) and hold the fresh solve's failure state: the
+// placement-order prefix before the first task no machine admits stays
+// placed, and that task and every later one are unplaced. A later
+// mutation past the failure position changes nothing placed; one at or
+// before it replays from its own position, placing the formerly failed
+// suffix as fresh inserts, so feasibility can return without a rebuild.
 package online
 
 import (
@@ -62,8 +71,9 @@ import (
 )
 
 // ErrInfeasible is returned by NewEngine when the initial task set does
-// not partition at the requested augmentation: an engine only represents
-// feasible states.
+// not partition at the requested augmentation. A first_fit_sorted
+// implicit-deadline engine comes back with it, holding the fresh solve's
+// failure state (see the package doc); every other engine is nil.
 var ErrInfeasible = errors.New("online: initial task set infeasible at this augmentation")
 
 // admKind mirrors the partition solver's fast-path selector; the engine
@@ -209,7 +219,11 @@ type Engine struct {
 
 	sorted []int32 // task ids in placement order
 	pos    []int32 // task id → index in sorted (int32: n < 2^31)
-	assign []int32 // task id → machine input index
+	assign []int32 // task id → machine input index; -1 while unplaced
+
+	// failID is the first unplaced task in placement order (every later
+	// one is unplaced too) while the engine holds a failure state, else -1.
+	failID int
 
 	// assignPub mirrors assign as []int for Result, maintained
 	// incrementally at commit time: tasks whose machine changed are
@@ -304,6 +318,7 @@ func (e *Engine) initState() {
 	}
 	e.pos = make([]int32, n)
 	e.recomputePos(0)
+	e.failID = -1
 	e.assign = make([]int32, n)
 	e.assignPub = make([]int, n)
 	e.machs = make([]mach, m)
@@ -321,14 +336,19 @@ func (e *Engine) initState() {
 
 // initPlacement runs the initial placement pass in placement order:
 // every machine state is final-so-far, so aggregate tests (one policy
-// Select per task) suffice.
+// Select per task) suffice. On ErrInfeasible the engine is left in the
+// fresh solve's failure state.
 func (e *Engine) initPlacement() error {
-	for _, id := range e.sorted {
+	for i, id := range e.sorted {
 		chosen := e.selectPlace(id)
 		if err := e.takeProbeErr(); err != nil {
 			return err
 		}
 		if chosen < 0 {
+			for _, rest := range e.sorted[i:] {
+				e.assign[rest], e.assignPub[rest] = -1, -1
+			}
+			e.failID = int(id)
 			return ErrInfeasible
 		}
 		e.assign[id] = int32(chosen)
@@ -820,7 +840,15 @@ func (e *Engine) recomputePos(from int) {
 // Machines are journaled and truncated the first time the replay
 // actually changes them, which both bounds the work and provides the
 // undo log for rollback.
+//
+// On a failing engine every task from the failure position on is
+// unplaced, so an edit past that position changes nothing placed: the
+// failure stands and nothing is replayed. From an earlier position the
+// formerly failed suffix replays as fresh inserts.
 func (e *Engine) replayFrom(k int) int {
+	if e.failID >= 0 && int(e.pos[e.failID]) < k {
+		return e.failID
+	}
 	m := len(e.machIdx)
 	n := len(e.sorted)
 	sorted, assign, utils := e.sorted, e.assign, e.utils
@@ -1055,32 +1083,77 @@ func (e *Engine) dirtyBefore(pp int) int {
 	return lo
 }
 
+// settle closes a mutation whose placement pass reported
+// failID (-1: every task placed); exclude is the id of a removal in
+// flight, -1 otherwise. A probe error or a refusal rolls back, the
+// refusal answering with the fresh solve's witness, unless force commits
+// the refusal as that failure state.
+func (e *Engine) settle(failID, exclude int, force bool) (partition.Result, bool, error) {
+	if perr := e.takeProbeErr(); perr != nil {
+		e.rollback()
+		return partition.Result{}, false, fmt.Errorf("online: %w", perr)
+	}
+	if failID >= 0 && !force {
+		res := e.failResult(failID, exclude)
+		e.rollback()
+		return res, false, nil
+	}
+	if failID >= 0 {
+		e.hold(failID)
+	}
+	e.failID = failID
+	// Commit before compact: the mirror refresh keys off journaled
+	// (pre-renumber) ids, and the capacity tree is machine-keyed, so id
+	// renumbering cannot invalidate it.
+	e.commit()
+	if exclude >= 0 {
+		e.compact(exclude)
+	}
+	return e.Result(), failID < 0, nil
+}
+
+// hold turns the in-flight refusal at task failID into the failure state
+// failResult describes: every machine keeps only its placements before
+// failID's position (dirtied machines hold nothing later already; the
+// others are truncated, journaled like any replay edit), and failID and
+// every later task are unplaced.
+func (e *Engine) hold(failID int) {
+	at := int(e.pos[failID])
+	for j := range e.machs {
+		if x := e.prefixLen(j, at); x < len(e.machs[j].placed) {
+			e.truncate(j, x)
+		}
+	}
+	for _, id := range e.sorted[at:] {
+		if e.assign[id] >= 0 {
+			e.journalAssign(id)
+			e.assign[id] = -1
+		}
+	}
+}
+
 // failResult builds the partition.Result a fresh Solve over the
 // surviving multiset reports when task failID cannot be placed: the
 // prefix before the failure keeps its (byte-identical) assignment, the
 // failing task and everything after it is unplaced, and per-machine
-// loads are the folds as of the failure point. exclude ≥ 0 compacts
-// task ids for a removal in flight (fresh solves of the shrunken set
-// number tasks without it). The result is freshly allocated.
+// loads are the folds as of the failure point. Under a local policy only
+// the failing task is unplaced: every other task keeps its current
+// machine. exclude ≥ 0 compacts task ids for a removal in flight (fresh
+// solves of the shrunken set number tasks without it). The result is
+// freshly allocated.
 func (e *Engine) failResult(failID, exclude int) partition.Result {
 	at := int(e.pos[failID])
-	n := len(e.tasks)
-	if exclude >= 0 {
-		n--
+	if !e.ordered {
+		at = len(e.sorted)
 	}
-	as := make([]int, n)
-	for id := 0; id < len(e.tasks); id++ {
-		if id == exclude {
-			continue
-		}
-		nid := id
-		if exclude >= 0 && id > exclude {
-			nid--
-		}
-		if id != failID && int(e.pos[id]) < at {
-			as[nid] = int(e.assign[id])
-		} else {
-			as[nid] = -1
+	as := make([]int, 0, len(e.tasks))
+	for id := range e.tasks {
+		switch {
+		case id == exclude:
+		case id != failID && int(e.pos[id]) < at:
+			as = append(as, int(e.assign[id]))
+		default:
+			as = append(as, -1)
 		}
 	}
 	loads := make([]float64, len(e.p))
@@ -1193,16 +1266,63 @@ func (e *Engine) Admit(t task.Task) (res partition.Result, admitted bool, err er
 	}
 	// On a constrained-deadline engine an implicit task is D = P.
 	e.enterOp()
-	res, admitted, err = e.admitOne(t, t.Period)
+	res, admitted, err = e.admitOne(t, t.Period, false)
 	if e.exitOp(admitted && err == nil) {
 		res = e.Result() // re-snapshot past the applied repartition
 	}
 	return res, admitted, err
 }
 
+// ForceAdmit, ForceRemove and ForceUpdateWCET are Admit, Remove and
+// UpdateWCET that commit the mutation even when the engine refuses it.
+// A refused mutation leaves the engine in the fresh sorted solve's
+// failure state over the new multiset (see the package doc), and res
+// and Result then report exactly what partition.Solver reports: Feasible
+// false, FailedTask, -1 for every unplaced task, and the loads at the
+// failure point. The verdict is the plain call's: false when the
+// committed set is infeasible. Only first_fit_sorted engines with
+// implicit deadlines can hold that state; any other engine answers an
+// error and is unchanged.
+func (e *Engine) ForceAdmit(t task.Task) (res partition.Result, admitted bool, err error) {
+	if err := e.forcible(); err != nil {
+		return partition.Result{}, false, err
+	}
+	if err := t.Validate(); err != nil {
+		return partition.Result{}, false, fmt.Errorf("online: %w", err)
+	}
+	return e.admitOne(t, t.Period, true)
+}
+
+// ForceRemove is Remove that commits a refused removal; see ForceAdmit.
+func (e *Engine) ForceRemove(id int) (res partition.Result, ok bool, err error) {
+	if err := e.forcible(); err != nil {
+		return partition.Result{}, false, err
+	}
+	return e.removeInner(id, true)
+}
+
+// ForceUpdateWCET is UpdateWCET that commits a refused update; see
+// ForceAdmit.
+func (e *Engine) ForceUpdateWCET(id int, wcet int64) (res partition.Result, ok bool, err error) {
+	if err := e.forcible(); err != nil {
+		return partition.Result{}, false, err
+	}
+	return e.updateWCETInner(id, wcet, true)
+}
+
+// forcible refuses force on engines that cannot hold a failure state:
+// local policies place on arrival and never revisit a placement, and the
+// constrained pipeline's reference solve is dbf.FirstFit.
+func (e *Engine) forcible() error {
+	if !e.ordered || e.kind == admDBF {
+		return fmt.Errorf("online: force needs a first_fit_sorted implicit-deadline engine, not policy %q", e.pol.Name())
+	}
+	return nil
+}
+
 // admitOne is the shared single-admit body; the caller has validated t
 // (and, for admDBF, the relative deadline d — ignored otherwise).
-func (e *Engine) admitOne(t task.Task, d int64) (res partition.Result, admitted bool, err error) {
+func (e *Engine) admitOne(t task.Task, d int64, force bool) (res partition.Result, admitted bool, err error) {
 	id := int32(len(e.tasks))
 	e.tasks = append(e.tasks, t)
 	e.utils = append(e.utils, t.Utilization())
@@ -1222,42 +1342,25 @@ func (e *Engine) admitOne(t task.Task, d int64) (res partition.Result, admitted 
 	e.recomputePos(k)
 	e.begin(edit{op: opInsert, id: int(id)})
 
-	if k == len(e.sorted)-1 {
+	var failID int
+	if k == len(e.sorted)-1 && e.failID < 0 {
 		// End of the placement order: every machine's current aggregate
 		// is its state at this point, so the policy selects against live
 		// state — for the first-fit policies a single O(log m) capacity
 		// query (plus exact verification).
 		e.stats = OpStats{Tail: true, ReplayFrom: -1, BatchSize: 1}
-		chosen := e.selectPlace(id)
-		if perr := e.takeProbeErr(); perr != nil {
-			e.rollback()
-			return partition.Result{}, false, fmt.Errorf("online: %w", perr)
+		failID = int(id)
+		if chosen := e.selectPlace(id); chosen >= 0 {
+			failID = -1
+			e.journalAssign(id)
+			e.assign[id] = int32(chosen)
+			e.place(chosen, id)
 		}
-		if chosen < 0 {
-			res = e.failResult(int(id), -1)
-			e.rollback()
-			return res, false, nil
-		}
-		e.journalAssign(id)
-		e.assign[id] = int32(chosen)
-		e.assignPub[id] = chosen
-		e.place(chosen, id)
-		e.commit()
-		return e.Result(), true, nil
+	} else {
+		e.stats = OpStats{ReplayFrom: k, BatchSize: 1}
+		failID = e.replayFrom(k)
 	}
-	e.stats = OpStats{ReplayFrom: k, BatchSize: 1}
-	failID := e.replayFrom(k)
-	if perr := e.takeProbeErr(); perr != nil {
-		e.rollback()
-		return partition.Result{}, false, fmt.Errorf("online: %w", perr)
-	}
-	if failID >= 0 {
-		res = e.failResult(failID, -1)
-		e.rollback()
-		return res, false, nil
-	}
-	e.commit()
-	return e.Result(), true, nil
+	return e.settle(failID, -1, force)
 }
 
 // Remove deletes task id (later ids shift down by one, mirroring the
@@ -1270,14 +1373,14 @@ func (e *Engine) admitOne(t task.Task, d int64) (res partition.Result, admitted 
 // succeeds.
 func (e *Engine) Remove(id int) (res partition.Result, ok bool, err error) {
 	e.enterOp()
-	res, ok, err = e.removeInner(id)
+	res, ok, err = e.removeInner(id, false)
 	if e.exitOp(ok && err == nil) {
 		res = e.Result() // re-snapshot past the applied repartition
 	}
 	return res, ok, err
 }
 
-func (e *Engine) removeInner(id int) (res partition.Result, ok bool, err error) {
+func (e *Engine) removeInner(id int, force bool) (res partition.Result, ok bool, err error) {
 	if id < 0 || id >= len(e.tasks) {
 		return partition.Result{}, false, fmt.Errorf("online: Remove task %d out of range [0, %d)", id, len(e.tasks))
 	}
@@ -1294,12 +1397,7 @@ func (e *Engine) removeInner(id int) (res partition.Result, ok bool, err error) 
 		e.sorted = append(e.sorted[:id], e.sorted[id+1:]...)
 		e.recomputePos(id)
 		e.splice(int(e.assign[id]), int32(id))
-		// Commit before compact: the mirror refresh keys off journaled
-		// (pre-renumber) ids, and the capacity tree is machine-keyed, so
-		// id renumbering cannot invalidate it.
-		e.commit()
-		e.compact(id)
-		return e.Result(), true, nil
+		return e.settle(-1, id, false)
 	}
 
 	o := int(e.assign[id])
@@ -1308,20 +1406,10 @@ func (e *Engine) removeInner(id int) (res partition.Result, ok bool, err error) 
 	e.stats = OpStats{ReplayFrom: k}
 	e.sorted = append(e.sorted[:k], e.sorted[k+1:]...)
 	e.recomputePos(k)
-	e.makeDirty(o, k) // drops id and every later entry on its machine
-	failID := e.replayFrom(k)
-	if perr := e.takeProbeErr(); perr != nil {
-		e.rollback()
-		return partition.Result{}, false, fmt.Errorf("online: %w", perr)
+	if o >= 0 {
+		e.makeDirty(o, k) // drops id and every later entry on its machine
 	}
-	if failID >= 0 {
-		res = e.failResult(failID, id)
-		e.rollback()
-		return res, false, nil
-	}
-	e.commit() // before compact; see the local-policy branch
-	e.compact(id)
-	return e.Result(), true, nil
+	return e.settle(e.replayFrom(k), id, force)
 }
 
 // UpdateWCET changes task id's worst-case execution time. Under the
@@ -1334,14 +1422,14 @@ func (e *Engine) removeInner(id int) (res partition.Result, ok bool, err error) 
 // rolls back likewise.
 func (e *Engine) UpdateWCET(id int, wcet int64) (res partition.Result, ok bool, err error) {
 	e.enterOp()
-	res, ok, err = e.updateWCETInner(id, wcet)
+	res, ok, err = e.updateWCETInner(id, wcet, false)
 	if e.exitOp(ok && err == nil) {
 		res = e.Result() // re-snapshot past the applied repartition
 	}
 	return res, ok, err
 }
 
-func (e *Engine) updateWCETInner(id int, wcet int64) (res partition.Result, ok bool, err error) {
+func (e *Engine) updateWCETInner(id int, wcet int64, force bool) (res partition.Result, ok bool, err error) {
 	if id < 0 || id >= len(e.tasks) {
 		return partition.Result{}, false, fmt.Errorf("online: UpdateWCET task %d out of range [0, %d)", id, len(e.tasks))
 	}
@@ -1352,50 +1440,9 @@ func (e *Engine) updateWCETInner(id int, wcet int64) (res partition.Result, ok b
 		return partition.Result{}, false, fmt.Errorf("online: UpdateWCET wcet %d exceeds deadline %d (constrained model)", wcet, e.dl[id])
 	}
 	if wcet == e.tasks[id].WCET {
-		return e.Result(), true, nil
+		return e.Result(), e.failID < 0, nil
 	}
 	o := e.assign[id]
-	if !e.ordered {
-		// Local re-admission: splice the task out of its machine's fold,
-		// then re-select against current aggregates via the policy. The
-		// placement order (arrival order) is untouched either way.
-		e.begin(edit{op: opNone})
-		e.stats = OpStats{Tail: true, ReplayFrom: -1}
-		oldWCET, oldUtil := e.tasks[id].WCET, e.utils[id]
-		var oldDens float64
-		e.tasks[id].WCET = wcet
-		e.utils[id] = e.tasks[id].Utilization()
-		if e.kind == admDBF {
-			oldDens = e.dens[id]
-			e.dens[id] = float64(wcet) / float64(e.dl[id])
-		}
-		undo := func() {
-			e.tasks[id].WCET = oldWCET
-			e.utils[id] = oldUtil
-			if e.kind == admDBF {
-				e.dens[id] = oldDens
-			}
-		}
-		e.splice(int(o), int32(id))
-		e.journalAssign(int32(id))
-		chosen := e.selectPlace(int32(id))
-		if perr := e.takeProbeErr(); perr != nil {
-			undo()
-			e.rollback()
-			return partition.Result{}, false, fmt.Errorf("online: %w", perr)
-		}
-		if chosen < 0 {
-			res = e.arrivalFailResult(id)
-			undo()
-			e.rollback()
-			return res, false, nil
-		}
-		e.assign[id] = int32(chosen)
-		e.place(chosen, int32(id))
-		e.commit()
-		return e.Result(), true, nil
-	}
-
 	kOld := int(e.pos[id])
 	ed := edit{op: opUpdate, id: id, kOld: kOld, oldWCET: e.tasks[id].WCET, oldUtil: e.utils[id]}
 	if e.kind == admDBF {
@@ -1407,6 +1454,21 @@ func (e *Engine) updateWCETInner(id int, wcet int64) (res partition.Result, ok b
 	if e.kind == admDBF {
 		e.dens[id] = float64(wcet) / float64(e.dl[id])
 	}
+	if !e.ordered {
+		// Local re-admission: splice the task out of its machine's fold,
+		// then re-select against current aggregates via the policy. The
+		// placement order (arrival order) is untouched either way.
+		e.stats = OpStats{Tail: true, ReplayFrom: -1}
+		e.splice(int(o), int32(id))
+		e.journalAssign(int32(id))
+		failID := id
+		if chosen := e.selectPlace(int32(id)); chosen >= 0 {
+			failID = -1
+			e.assign[id] = int32(chosen)
+			e.place(chosen, int32(id))
+		}
+		return e.settle(failID, -1, false)
+	}
 
 	e.sorted = append(e.sorted[:kOld], e.sorted[kOld+1:]...)
 	kNew := sort.Search(len(e.sorted), func(i int) bool { return e.less(int32(id), e.sorted[i]) })
@@ -1417,19 +1479,10 @@ func (e *Engine) updateWCETInner(id int, wcet int64) (res partition.Result, ok b
 	}
 	e.stats = OpStats{ReplayFrom: k}
 	e.recomputePos(k)
-	e.makeDirty(int(o), k)
-	failID := e.replayFrom(k)
-	if perr := e.takeProbeErr(); perr != nil {
-		e.rollback()
-		return partition.Result{}, false, fmt.Errorf("online: %w", perr)
+	if o >= 0 {
+		e.makeDirty(int(o), k)
 	}
-	if failID >= 0 {
-		res = e.failResult(failID, -1)
-		e.rollback()
-		return res, false, nil
-	}
-	e.commit()
-	return e.Result(), true, nil
+	return e.settle(e.replayFrom(k), -1, force)
 }
 
 // splice removes task id from machine j's fold locally, journaling j and
@@ -1447,22 +1500,6 @@ func (e *Engine) splice(j int, id int32) {
 		e.place(j, pid)
 	}
 	e.noteDirty(j)
-}
-
-// arrivalFailResult is the rejection witness for a local-policy
-// mutation: every other task keeps its current machine, the failing task
-// is unplaced, loads are the current folds without it.
-func (e *Engine) arrivalFailResult(failID int) partition.Result {
-	as := make([]int, len(e.tasks))
-	for id := range as {
-		as[id] = int(e.assign[id])
-	}
-	as[failID] = -1
-	loads := make([]float64, len(e.p))
-	for j := range e.machs {
-		loads[j] = e.machs[j].load()
-	}
-	return partition.Result{Assignment: as, FailedTask: failID, Loads: loads, Alpha: e.alpha}
 }
 
 // compact renumbers task ids after a successful removal of r: ids above
@@ -1485,6 +1522,9 @@ func (e *Engine) compact(r int) {
 		copy(e.dens[r:], e.dens[r+1:])
 		e.dens = e.dens[:n-1]
 	}
+	if e.failID > r {
+		e.failID--
+	}
 	if r == n-1 {
 		return // removed the largest id; nothing to renumber
 	}
@@ -1503,21 +1543,25 @@ func (e *Engine) compact(r int) {
 	}
 }
 
-// Result snapshots the engine's current (feasible) state. Assignment and
-// Loads alias engine-owned buffers and are only valid until the next
-// mutation; use Result.Clone to retain one.
+// Result snapshots the engine's current state, a failure state's
+// included. Assignment and Loads alias engine-owned buffers and are only
+// valid until the next mutation; use Result.Clone to retain one.
 func (e *Engine) Result() partition.Result {
 	for j := range e.machs {
 		e.loadsBuf[j] = e.machs[j].load()
 	}
 	return partition.Result{
-		Feasible:   true,
+		Feasible:   e.failID < 0,
 		Assignment: e.assignPub,
-		FailedTask: -1,
+		FailedTask: e.failID,
 		Loads:      e.loadsBuf,
 		Alpha:      e.alpha,
 	}
 }
+
+// Feasible reports whether every resident task is placed: false only
+// while the engine holds a failure state.
+func (e *Engine) Feasible() bool { return e.failID < 0 }
 
 // Len returns the number of resident tasks.
 func (e *Engine) Len() int { return len(e.tasks) }
@@ -1533,8 +1577,10 @@ func (e *Engine) Tasks() task.Set { return e.tasks.Clone() }
 
 // SelfCheck verifies the engine's internal invariants: the placement
 // order is a valid permutation sorted by the order relation, positions
-// invert it, every task sits on exactly one machine matching its
-// assignment, placed lists are position-ordered (ordered policy), every
+// invert it, exactly the tasks before the failure position (all of them
+// when feasible) are placed, every placed task sits on exactly one
+// machine matching its assignment, placed lists are position-ordered
+// (ordered policy), every
 // cumulative fold re-derives bit-identically, and every machine's final
 // state satisfies its admission bound. It is O(n log n + n·m) and meant
 // for tests and debugging, not the hot path.
@@ -1600,7 +1646,14 @@ func (e *Engine) SelfCheck() error {
 			}
 		}
 	}
+	at := n // failure position: tasks before it are placed, the rest not
+	if e.failID >= 0 {
+		at = int(e.pos[e.failID])
+	}
 	for id := 0; id < n; id++ {
+		if (int(e.pos[id]) < at) != (e.assign[id] >= 0) {
+			return fmt.Errorf("online: task %d at position %d assigned to %d, failure position %d", id, e.pos[id], e.assign[id], at)
+		}
 		if placedOn[id] != int(e.assign[id]) {
 			return fmt.Errorf("online: task %d assigned to %d but placed on %d", id, e.assign[id], placedOn[id])
 		}

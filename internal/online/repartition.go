@@ -27,8 +27,9 @@ type Plan struct {
 	Moves []Move
 	// TargetFeasible is false when the sorted solve itself fails at the
 	// engine's augmentation — possible under local policies because first-fit
-	// is not monotone in placement order; the engine's own state is
-	// feasible regardless. Moves is empty in that case.
+	// is not monotone in placement order, whose own state is feasible
+	// regardless, and on an ordered engine holding that failure state.
+	// Moves is empty in that case.
 	TargetFeasible bool
 	// Target is the sorted solve's result (caller-owned copy). When
 	// TargetFeasible is false it carries the failure witness.

@@ -1,19 +1,22 @@
 package online
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"partfeas/internal/machine"
+	"partfeas/internal/partition"
 	"partfeas/internal/task"
 )
 
 // TestEngineMatchesRebuild drives each structural mutation — Admit,
-// Remove, UpdateWCET (which re-sorts the edited task), and a full
-// repartition — and then requires the live engine to be
-// indistinguishable from an engine freshly built over the surviving task
-// set: same result bits.
+// Remove, UpdateWCET (which re-sorts the edited task), their forced
+// forms, and a full repartition — and then requires the live engine to
+// be indistinguishable from an engine freshly built over the surviving
+// task set and from a fresh sorted solve: same result bits, feasible or
+// not.
 func TestEngineMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(104729))
 	for inst := 0; inst < 8; inst++ {
@@ -30,35 +33,43 @@ func TestEngineMatchesRebuild(t *testing.T) {
 			continue
 		}
 		for op := 0; op < 60; op++ {
+			force := rng.Intn(3) == 0
+			admit, remove, update := e.Admit, e.Remove, e.UpdateWCET
+			if force {
+				admit, remove, update = e.ForceAdmit, e.ForceRemove, e.ForceUpdateWCET
+			}
+			var res partition.Result
 			switch k := rng.Intn(10); {
 			case k < 3:
-				if _, _, err := e.Admit(randTask(rng)); err != nil {
-					t.Fatal(err)
-				}
+				res, _, err = admit(randTask(rng))
 			case k < 6 && e.Len() > 1:
-				if _, _, err := e.Remove(rng.Intn(e.Len())); err != nil {
-					t.Fatal(err)
-				}
+				res, _, err = remove(rng.Intn(e.Len()))
 			case k < 8:
 				id := rng.Intn(e.Len())
-				wcet := 1 + rng.Int63n(e.Tasks()[id].Period)
-				if _, _, err := e.UpdateWCET(id, wcet); err != nil {
-					t.Fatal(err)
-				}
+				res, _, err = update(id, 1+rng.Int63n(e.Tasks()[id].Period))
 			default:
-				pl, err := e.PlanRepartition()
-				if err != nil {
-					t.Fatal(err)
+				pl, perr := e.PlanRepartition()
+				if perr != nil {
+					t.Fatal(perr)
 				}
-				if _, err := e.ApplyRepartition(pl, -1); err != nil {
-					t.Fatal(err)
+				if pl.TargetFeasible {
+					_, err = e.ApplyRepartition(pl, -1)
 				}
+				res = e.Result()
+			}
+			if err != nil {
+				t.Fatal(err)
 			}
 			if err := e.SelfCheck(); err != nil {
 				t.Fatalf("inst %d op %d: %v", inst, op, err)
 			}
+			want := freshSorted(t, e.Tasks(), p, adm, e.Alpha())
+			sameResult(t, "fresh solve", e.Result().Clone(), want)
+			if force {
+				sameResult(t, "forced op's result", res.Clone(), want)
+			}
 			fresh, err := NewEngine(e.Tasks(), p, Options{Admission: adm, Alpha: e.Alpha()})
-			if err != nil {
+			if err != nil && !errors.Is(err, ErrInfeasible) {
 				t.Fatalf("inst %d op %d: rebuilt engine: %v", inst, op, err)
 			}
 			sameResult(t, "rebuilt", e.Result().Clone(), fresh.Result().Clone())
@@ -68,15 +79,18 @@ func TestEngineMatchesRebuild(t *testing.T) {
 
 // TestEngineFuzzOps is the widest randomized cross-check: arbitrary
 // interleavings of single admits, batches in both modes, removals, and
-// WCET updates on a sorted-policy engine, with the fresh sorted solve of
-// the independently-mirrored multiset as the oracle after every single
-// operation, plus a full SelfCheck (which verifies fold bits, position
-// maps, the public assignment mirror, and position-ordered placed lists).
+// WCET updates (singles plain or forced, so the engine passes in and out
+// of failure states) on a sorted-policy engine, with the fresh sorted
+// solve of the independently-mirrored multiset as the oracle after every
+// single operation, plus a full SelfCheck (which verifies fold bits,
+// position maps, the failure position, the public assignment mirror, and
+// position-ordered placed lists).
 func TestEngineFuzzOps(t *testing.T) {
 	for _, adm := range testAdmissions {
 		adm := adm
 		t.Run(adm.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(adm.Name())) * 52711))
+			held, recovered := 0, 0 // steps ending infeasible; infeasible → feasible steps
 			for inst := 0; inst < 8; inst++ {
 				p := randPlatform(rng)
 				cur := task.Set{{WCET: 1, Period: 1 << 20}}
@@ -85,14 +99,20 @@ func TestEngineFuzzOps(t *testing.T) {
 					t.Fatal(err)
 				}
 				for op := 0; op < 100; op++ {
+					wasFeasible := e.Feasible()
+					force := rng.Intn(4) == 0
+					admit, remove, update := e.Admit, e.Remove, e.UpdateWCET
+					if force {
+						admit, remove, update = e.ForceAdmit, e.ForceRemove, e.ForceUpdateWCET
+					}
 					switch k := rng.Intn(12); {
 					case k < 4:
 						tk := randTask(rng)
-						_, ok, err := e.Admit(tk)
+						_, ok, err := admit(tk)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if ok {
+						if ok || force {
 							cur = append(cur.Clone(), tk)
 						}
 					case k < 6:
@@ -122,21 +142,21 @@ func TestEngineFuzzOps(t *testing.T) {
 						}
 					case k < 10 && len(cur) > 1:
 						id := rng.Intn(len(cur))
-						_, ok, err := e.Remove(id)
+						_, ok, err := remove(id)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if ok {
+						if ok || force {
 							cur = append(cur[:id:id].Clone(), cur[id+1:]...)
 						}
 					default:
 						id := rng.Intn(len(cur))
 						wcet := 1 + rng.Int63n(cur[id].Period)
-						_, ok, err := e.UpdateWCET(id, wcet)
+						_, ok, err := update(id, wcet)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if ok {
+						if ok || force {
 							cur = cur.Clone()
 							cur[id].WCET = wcet
 						}
@@ -148,7 +168,15 @@ func TestEngineFuzzOps(t *testing.T) {
 					if !reflect.DeepEqual(e.Tasks(), cur) {
 						t.Fatalf("inst %d op %d: resident multiset diverged", inst, op)
 					}
+					if !e.Feasible() {
+						held++
+					} else if !wasFeasible {
+						recovered++
+					}
 				}
+			}
+			if held == 0 || recovered == 0 {
+				t.Fatalf("op mix never held a failure state (%d) or left one (%d)", held, recovered)
 			}
 		})
 	}
@@ -156,7 +184,9 @@ func TestEngineFuzzOps(t *testing.T) {
 
 // FuzzEngineOps is TestEngineFuzzOps with the fuzzer choosing the
 // instance and the operations: the bytes pick the admission, the
-// platform, and then one op at a time — its kind, then its operands
+// platform, and then one op at a time — its kind and, for a single
+// admit, removal or WCET update, whether it is forced (the op byte's
+// high bit), then its operands
 // (task shapes, batch size, victim id, new WCET) — from the same mix of
 // single admits, batches in both modes, removals and WCET updates on a
 // sorted-policy engine. After every op the engine must pass SelfCheck
@@ -196,12 +226,18 @@ func FuzzEngineOps(f *testing.F) {
 			t.Fatal(err)
 		}
 		for op := 0; len(data) > 0 && op < 64; op++ {
-			switch k := next() % 12; {
+			b := next()
+			force := b >= 0x80 // for single admits, removals and WCET updates
+			admit, remove, update := e.Admit, e.Remove, e.UpdateWCET
+			if force {
+				admit, remove, update = e.ForceAdmit, e.ForceRemove, e.ForceUpdateWCET
+			}
+			switch k := b % 12; {
 			case k < 4:
 				tk := nextTask()
-				if _, ok, err := e.Admit(tk); err != nil {
+				if _, ok, err := admit(tk); err != nil {
 					t.Fatal(err)
-				} else if ok {
+				} else if ok || force {
 					cur = append(cur.Clone(), tk)
 				}
 			case k < 8:
@@ -226,17 +262,17 @@ func FuzzEngineOps(f *testing.F) {
 				cur = grown
 			case k < 10 && len(cur) > 1:
 				id := next() % len(cur)
-				if _, ok, err := e.Remove(id); err != nil {
+				if _, ok, err := remove(id); err != nil {
 					t.Fatal(err)
-				} else if ok {
+				} else if ok || force {
 					cur = append(cur[:id:id].Clone(), cur[id+1:]...)
 				}
 			default:
 				id := next() % len(cur)
 				wcet := 1 + int64(next())*cur[id].Period/256
-				if _, ok, err := e.UpdateWCET(id, wcet); err != nil {
+				if _, ok, err := update(id, wcet); err != nil {
 					t.Fatal(err)
-				} else if ok {
+				} else if ok || force {
 					cur = cur.Clone()
 					cur[id].WCET = wcet
 				}

@@ -328,8 +328,9 @@ type BatchAdmissionResponse struct {
 }
 
 // UpdateWCETRequest changes one task's WCET: an incremental re-test via
-// the session's online engine, or a fresh batch test of the updated set
-// while the resident set is infeasible (engine disarmed).
+// the session's online engine, whether or not the resident set is
+// feasible. A WCET that is not positive, or exceeds a constrained task's
+// deadline, is refused before the op is logged.
 type UpdateWCETRequest struct {
 	Index     int   `json:"index"`
 	WCET      int64 `json:"wcet"`

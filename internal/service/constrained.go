@@ -10,12 +10,11 @@ package service
 // own: the engine's constrained entry points take implicit tasks as the
 // D = P case.
 //
-// Constrained sessions are engine-only. The batch-test fallback that
-// lets implicit sessions hold force-committed infeasible sets
-// (resolveLocked) has no constrained counterpart, so force commits are
+// A constrained engine cannot hold an infeasible set: only the sorted
+// first-fit engine of an implicit session holds a failure state, and
+// the constrained reference solve is dbf.FirstFit. So force commits are
 // refused, sessions cannot be created infeasible, and a removal the
-// engine refuses stays resident (rolled back) instead of disarming the
-// engine.
+// engine refuses stays resident (rolled back).
 
 import (
 	"net/http"
@@ -28,7 +27,7 @@ import (
 var (
 	errConstrainedForce = &httpError{
 		code: http.StatusBadRequest,
-		msg:  "force is not supported in constrained-deadline sessions (no infeasible fallback path)",
+		msg:  "force is not supported in constrained-deadline sessions (its engine cannot hold an infeasible set)",
 	}
 	errConstrainedRepartition = &httpError{
 		code: http.StatusConflict,

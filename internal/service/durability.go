@@ -487,10 +487,11 @@ type sessionSnap struct {
 	Constrained bool          `json:"constrained,omitempty"`
 	Tasks       []oplog.Task  `json:"tasks"`
 	Machines    []MachineJSON `json:"machines"`
-	// Engine records whether the incremental engine was armed (false =
-	// force-infeasible resident set, batch path). Placed is the engine's
-	// per-machine placement history, which arrival-order restores refold
-	// verbatim; sorted-order engines re-solve and ignore it.
+	// Engine records whether the session was armed (false: disarmed, on
+	// a first_fit_sorted engine that the restore rebuilds). Placed is the
+	// armed engine's per-machine placement history, which arrival-order
+	// restores refold verbatim; sorted-order engines re-solve and ignore
+	// it.
 	Engine bool      `json:"engine"`
 	Placed [][]int32 `json:"placed,omitempty"`
 	// RepartCnt is the PeriodicRepartition cadence counter; without it a
@@ -513,7 +514,7 @@ func snapOf(s *session) sessionSnap {
 		Constrained: s.constrained,
 		Tasks:       make([]oplog.Task, len(s.in.Tasks)),
 		Machines:    make([]MachineJSON, len(s.in.Platform)),
-		Engine:      s.eng != nil,
+		Engine:      s.armed(),
 		Epoch:       s.epoch,
 	}
 	for i, t := range s.in.Tasks {
@@ -525,7 +526,7 @@ func snapOf(s *session) sessionSnap {
 	for i, m := range s.in.Platform {
 		ss.Machines[i] = MachineJSON{Name: m.Name, Speed: m.Speed}
 	}
-	if s.eng != nil {
+	if ss.Engine {
 		ss.Placed = s.eng.PlacedLists()
 		ss.RepartCnt = s.eng.RepartCount()
 	}
@@ -642,24 +643,20 @@ func (st *sessionStore) restoreSession(ss *sessionSnap) (*session, error) {
 			dls[i] = t.Deadline
 		}
 	}
-	if !ss.Engine {
-		if ss.Constrained {
-			return nil, fmt.Errorf("constrained session snapshotted without an engine")
-		}
-		// Force-infeasible resident set: the session restores disarmed.
-		// The snapshot is input from disk, so vet what the fallback will
-		// test.
-		if err := s.in.Validate(); err != nil {
-			return nil, err
-		}
-		return s, nil
+	switch {
+	case !ss.Engine && ss.Constrained:
+		return nil, fmt.Errorf("constrained session snapshotted without an engine")
+	case !ss.Engine:
+		// A disarmed session restores onto a first_fit_sorted engine,
+		// which vets the set read from disk like any other input.
+		err = s.disarm()
+	default:
+		opts := s.engineOptions(dls)
+		opts.Placed, opts.RepartCnt = snapPlaced(ss.Placed), ss.RepartCnt
+		s.eng, err = online.NewEngine(s.in.Tasks, s.in.Platform, opts)
 	}
-	opts := s.engineOptions(dls)
-	opts.Placed, opts.RepartCnt = snapPlaced(ss.Placed), ss.RepartCnt
-	eng, err := online.NewEngine(s.in.Tasks, s.in.Platform, opts)
 	if err != nil {
 		return nil, err
 	}
-	s.eng = eng
 	return s, nil
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,26 +12,36 @@ import (
 	"partfeas/internal/online"
 )
 
-// TestInfeasibleFallback pins the batch-Tester fallback that serves a
-// session while its resident set is force-committed infeasible (engine
-// disarmed): single admits (forced and rejected), both batch modes, a
-// best-effort batch that regains feasibility partway through, removes,
-// WCET raises and lowers, GET and an ad-hoc-alpha /test. Every mutation's
-// test block must be the summary of a fresh library solve of the set it
-// describes, with machine (machines) that solve's entry for the op's
-// task(s); after every step a GET's full test block must equal a fresh
-// solve of the resident set (while disarmed) or a fresh engine over it
-// (once re-armed), so the assignment is checked at each step. The engine
-// must re-arm exactly when feasibility returns (repartition answers 200
-// instead of 409).
+// TestInfeasibleFallback pins how a session serves a force-committed
+// infeasible resident set (session disarmed, on a first_fit_sorted
+// engine in the paper's failure state): single admits (forced and
+// rejected), both batch modes, a best-effort batch that regains
+// feasibility partway through, removes, WCET raises and lowers, GET and
+// an ad-hoc-alpha /test. Every mutation's test block must be the summary
+// of a fresh library solve of the set it describes, with machine
+// (machines) that solve's entry for the op's task(s); after every step a
+// GET's full test block must equal a fresh solve of the resident set
+// (while disarmed) or a fresh engine over it (once re-armed), so the
+// assignment is checked at each step. The engine must re-arm exactly
+// when feasibility returns (repartition answers 200 instead of 409).
 func TestInfeasibleFallback(t *testing.T) {
-	for _, placement := range []string{"first_fit_sorted", "best_fit"} {
-		t.Run(placement, func(t *testing.T) {
+	for _, c := range []struct{ name, placement, scheduler string }{
+		{"first_fit_sorted", "first_fit_sorted", "edf"},
+		{"best_fit", "best_fit", "edf"},
+		{"first_fit_arrival", "first_fit_arrival", "edf"},
+		{"first_fit_sorted_rms", "first_fit_sorted", "rms"},
+	} {
+		placement := c.placement
+		t.Run(c.name, func(t *testing.T) {
 			s := newTestServer(t)
 			speeds := []float64{1, 2}
+			sched := partfeas.EDF
+			if c.scheduler == "rms" {
+				sched = partfeas.RMS
+			}
 			set := partfeas.TaskSet{{WCET: 30, Period: 100}, {WCET: 40, Period: 100}, {WCET: 50, Period: 100}}
 			w := do(t, s, http.MethodPost, "/v1/sessions", fmt.Sprintf(
-				`{"tasks":[{"wcet":30,"period":100},{"wcet":40,"period":100},{"wcet":50,"period":100}],"speeds":[1,2],"scheduler":"edf","placement":%q}`, placement))
+				`{"tasks":[{"wcet":30,"period":100},{"wcet":40,"period":100},{"wcet":50,"period":100}],"speeds":[1,2],"scheduler":%q,"placement":%q}`, c.scheduler, placement))
 			if w.Code != http.StatusCreated {
 				t.Fatalf("create: %d %s", w.Code, w.Body)
 			}
@@ -44,12 +55,12 @@ func TestInfeasibleFallback(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			adm, _ := partfeas.EDF.Admission()
+			adm, _ := sched.Admission()
 			opts := online.Options{Policy: pol, Admission: adm}
 
 			fresh := func(ts partfeas.TaskSet, alpha float64) TestResponse {
 				t.Helper()
-				rep, err := partfeas.Test(ts, partfeas.NewPlatform(speeds...), partfeas.EDF, alpha)
+				rep, err := partfeas.Test(ts, partfeas.NewPlatform(speeds...), sched, alpha)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -63,7 +74,7 @@ func TestInfeasibleFallback(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return TestResponseFrom(partfeas.Report{Accepted: true, Scheduler: partfeas.EDF, Alpha: 1, Partition: eng.Result()})
+				return TestResponseFrom(partfeas.Report{Accepted: true, Scheduler: sched, Alpha: 1, Partition: eng.Result()})
 			}
 			armed := func(step string, wantArmed bool) {
 				t.Helper()
@@ -208,18 +219,28 @@ func TestInfeasibleFallback(t *testing.T) {
 			armed("remove hog", true)
 			state("remove hog", rearmed(set))
 
-			// A disarmed session whose set is feasible again (as a snapshot
-			// taken while disarmed restores it) regains the engine partway
-			// through a best-effort batch: the hog is rejected by the batch
-			// test, the next task re-arms the engine, the rest continue on it.
+			// A disarmed session whose set is feasible again (a snapshot
+			// record taken while disarmed, restored) regains the engine
+			// partway through a best-effort batch: the hog is rejected by the
+			// sorted engine, the next task re-arms the policy engine, the
+			// rest continue on it. A first_fit_sorted session restored
+			// feasible is armed at once and runs the whole batch itself.
 			sess, err := s.sessions.get(created.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sess.mu.Lock()
-			sess.eng = nil
+			ss := snapOf(sess)
 			sess.mu.Unlock()
-			armed("disarm", false)
+			ss.Engine, ss.Placed, ss.RepartCnt = false, nil, 0
+			restored, err := s.sessions.restoreSession(&ss)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.sessions.mu.Lock()
+			s.sessions.m[created.ID] = restored
+			s.sessions.mu.Unlock()
+			armed("restore disarmed", placement == "first_fit_sorted")
 			a, b := partfeas.Task{WCET: 7, Period: 100}, partfeas.Task{WCET: 8, Period: 100}
 			post("regain batch", "/admit-batch", `{"tasks":[{"wcet":300,"period":100},{"wcet":7,"period":100},{"wcet":8,"period":100}]}`, &br)
 			if br.NAdmitted != 2 || br.NTasks != len(set)+2 || fmt.Sprint(br.Admitted) != "[false true true]" {
@@ -234,7 +255,7 @@ func TestInfeasibleFallback(t *testing.T) {
 				t.Fatal(err)
 			}
 			set = append(set, a, b)
-			wantTest := TestResponseFrom(partfeas.Report{Accepted: true, Scheduler: partfeas.EDF, Alpha: 1, Partition: res})
+			wantTest := TestResponseFrom(partfeas.Report{Accepted: true, Scheduler: sched, Alpha: 1, Partition: res})
 			if placement == "first_fit_sorted" && encode(t, wantTest) != encode(t, fresh(set, 1)) {
 				t.Fatalf("sorted engine diverged from a fresh solve: %s", encode(t, wantTest))
 			}
@@ -248,24 +269,159 @@ func TestInfeasibleFallback(t *testing.T) {
 	}
 }
 
-// TestDisarmedInvalidWCET pins the disarmed session's input check: a
-// WCET the task model forbids answers 400 naming the task, forced or
-// not, before the fallback's batch test runs, never a 500 from it.
-func TestDisarmedInvalidWCET(t *testing.T) {
+// TestInvalidWCETLeavesNoRecord pins the WCET update's input check on
+// armed, disarmed and constrained durable sessions: a WCET the task
+// model forbids answers 400 naming the task, forced or not, with one
+// message whatever the session's state, and is refused before the op
+// reaches the WAL.
+func TestInvalidWCETLeavesNoRecord(t *testing.T) {
+	for _, c := range []struct {
+		name, create string
+		force        bool // force-admit a hog first, disarming the session
+		bodies       map[string]string
+	}{
+		{"armed", `{"tasks":[{"wcet":30,"period":100}],"speeds":[1,2],"scheduler":"edf"}`, false, map[string]string{
+			`{"index":0,"wcet":0}`:  "task 0: wcet 0 must be positive",
+			`{"index":0,"wcet":-5}`: "task 0: wcet -5 must be positive",
+		}},
+		{"disarmed", `{"tasks":[{"wcet":30,"period":100}],"speeds":[1,2],"scheduler":"edf","placement":"best_fit"}`, true, map[string]string{
+			`{"index":0,"wcet":0}`:               "task 0: wcet 0 must be positive",
+			`{"index":0,"wcet":-5,"force":true}`: "task 0: wcet -5 must be positive",
+		}},
+		{"constrained", `{"tasks":[{"wcet":30,"period":100,"deadline":60}],"speeds":[1,2],"scheduler":"edf","deadline_model":"constrained"}`, false, map[string]string{
+			`{"index":0,"wcet":0}`:  "task 0: wcet 0 must be positive",
+			`{"index":0,"wcet":61}`: "task 0: wcet 61 exceeds its deadline 60",
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := mustDurable(t, t.TempDir(), Config{FsyncInterval: -1, SnapshotEvery: -1})
+			w := do(t, s, http.MethodPost, "/v1/sessions", c.create)
+			var created SessionResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &created); err != nil || w.Code != http.StatusCreated {
+				t.Fatalf("create: %d %s", w.Code, w.Body)
+			}
+			base := "/v1/sessions/" + created.ID
+			if c.force {
+				if w := do(t, s, http.MethodPost, base+"/tasks", `{"task":{"wcet":300,"period":100},"force":true}`); w.Code != http.StatusOK {
+					t.Fatalf("force hog: %d %s", w.Code, w.Body)
+				}
+			}
+			appends := s.dur.wal.Stats().Appends
+			for body, msg := range c.bodies {
+				w := do(t, s, http.MethodPost, base+"/wcet", body)
+				if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `{"error":"`+msg+`"}`) {
+					t.Errorf("wcet %s: %d %s, want 400 %q", body, w.Code, w.Body, msg)
+				}
+			}
+			if got := s.dur.wal.Stats().Appends; got != appends {
+				t.Errorf("refused WCET updates moved WAL appends %d → %d", appends, got)
+			}
+		})
+	}
+}
+
+// TestLocalForcedRefusalStaysDisarmed pins the re-arm timing of a
+// local-policy session. Its first_fit_arrival engine refuses a forced
+// task that the sorted test accepts, and the session stays disarmed on
+// its sorted engine anyway: GET answers the sorted solve, repartition
+// 409. A rejected admit commits nothing and does not re-arm it; the next
+// committed op whose sorted result is feasible does.
+func TestLocalForcedRefusalStaysDisarmed(t *testing.T) {
 	s := newTestServer(t)
-	w := do(t, s, http.MethodPost, "/v1/sessions", `{"tasks":[{"wcet":30,"period":100}],"speeds":[1,2],"scheduler":"edf"}`)
+	w := do(t, s, http.MethodPost, "/v1/sessions",
+		`{"tasks":[{"wcet":25,"period":100},{"wcet":25,"period":100},{"wcet":75,"period":100}],"speeds":[1,1],"scheduler":"edf","placement":"first_fit_arrival"}`)
 	var created SessionResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &created); err != nil || w.Code != http.StatusCreated {
 		t.Fatalf("create: %d %s", w.Code, w.Body)
 	}
 	base := "/v1/sessions/" + created.ID
-	if w := do(t, s, http.MethodPost, base+"/tasks", `{"task":{"wcet":300,"period":100},"force":true}`); w.Code != http.StatusOK {
-		t.Fatalf("force hog: %d %s", w.Code, w.Body)
-	}
-	for _, body := range []string{`{"index":0,"wcet":0}`, `{"index":0,"wcet":-5,"force":true}`} {
-		w := do(t, s, http.MethodPost, base+"/wcet", body)
-		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "partfeas: invalid task set: task 0") {
-			t.Errorf("wcet %s: %d %s, want 400 naming task 0", body, w.Code, w.Body)
+	set := partfeas.TaskSet{{WCET: 25, Period: 100}, {WCET: 25, Period: 100}, {WCET: 75, Period: 100}}
+	armed := func(step string, want bool) {
+		t.Helper()
+		code := do(t, s, http.MethodPost, base+"/repartition", `{}`).Code
+		if wantCode := map[bool]int{true: http.StatusOK, false: http.StatusConflict}[want]; code != wantCode {
+			t.Fatalf("%s: repartition answered %d, want %d", step, code, wantCode)
 		}
+	}
+	sorted := func(step string) {
+		t.Helper()
+		rep, err := partfeas.Test(set, partfeas.NewPlatform(1, 1), partfeas.EDF, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st SessionResponse
+		if w := do(t, s, http.MethodGet, base, ""); json.Unmarshal(w.Body.Bytes(), &st) != nil || w.Code != http.StatusOK {
+			t.Fatalf("%s: get: %d %s", step, w.Code, w.Body)
+		}
+		if got, want := encode(t, st.Test), encode(t, TestResponseFrom(rep)); got != want {
+			t.Fatalf("%s: get test block\n got %s\nwant %s", step, got, want)
+		}
+	}
+	armed("create", true)
+
+	// Arrival order fills machine 0 with 0.25 + 0.25 and machine 1 with
+	// 0.75, so a second 0.75 fits nowhere; sorted order pairs each 0.75
+	// with a 0.25.
+	var ar AdmissionResponse
+	w = do(t, s, http.MethodPost, base+"/tasks", `{"task":{"wcet":75,"period":100},"force":true}`)
+	if err := json.Unmarshal(w.Body.Bytes(), &ar); err != nil || w.Code != http.StatusOK || !ar.Admitted || ar.Test.Accepted {
+		t.Fatalf("forced admit: %d %s", w.Code, w.Body)
+	}
+	set = append(set, partfeas.Task{WCET: 75, Period: 100})
+	armed("forced admit", false)
+	sorted("forced admit")
+
+	if w := do(t, s, http.MethodPost, base+"/tasks", `{"task":{"wcet":50,"period":100}}`); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"rolled_back":true`) {
+		t.Fatalf("rejected admit: %d %s", w.Code, w.Body)
+	}
+	armed("rejected admit", false)
+	sorted("rejected admit")
+
+	if w := do(t, s, http.MethodDelete, base+"/tasks/0", ""); w.Code != http.StatusOK {
+		t.Fatalf("remove: %d %s", w.Code, w.Body)
+	}
+	armed("remove", true)
+}
+
+// TestDisarmedDurableRoundTrip restores a disarmed best_fit session from
+// its snapshot and from its WAL: both copies encode to the source's
+// bytes, which record no engine placement.
+func TestDisarmedDurableRoundTrip(t *testing.T) {
+	for _, variant := range []string{"drain", "crash"} {
+		t.Run(variant, func(t *testing.T) {
+			dir := t.TempDir()
+			srv := mustDurable(t, dir, Config{FsyncInterval: -1, SnapshotEvery: -1})
+			w := do(t, srv, http.MethodPost, "/v1/sessions",
+				`{"tasks":[{"wcet":30,"period":100},{"wcet":40,"period":100}],"speeds":[1,2],"scheduler":"edf","placement":"best_fit"}`)
+			var created SessionResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &created); err != nil || w.Code != http.StatusCreated {
+				t.Fatalf("create: %d %s", w.Code, w.Body)
+			}
+			base := "/v1/sessions/" + created.ID
+			for _, body := range []string{
+				`{"task":{"wcet":300,"period":100},"force":true}`,
+				`{"task":{"wcet":20,"period":100},"force":true}`,
+			} {
+				if w := do(t, srv, http.MethodPost, base+"/tasks", body); w.Code != http.StatusOK {
+					t.Fatalf("admit %s: %d %s", body, w.Code, w.Body)
+				}
+			}
+			want := sessionBytes(t, srv, created.ID)
+			if !bytes.Contains(want, []byte(`"engine":false`)) || bytes.Contains(want, []byte(`"placed"`)) {
+				t.Fatalf("disarmed session encodes as %s", want)
+			}
+			if variant == "drain" {
+				if err := srv.Close(); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				srv.Crash()
+			}
+			rec := mustDurable(t, dir, Config{FsyncInterval: -1, SnapshotEvery: -1})
+			if got := sessionBytes(t, rec, created.ID); !bytes.Equal(got, want) {
+				t.Fatalf("restored session\n got %s\nwant %s", got, want)
+			}
+			rec.Crash()
+		})
 	}
 }

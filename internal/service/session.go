@@ -21,20 +21,25 @@ import (
 // negotiation against a fixed platform and scheduler, plus the
 // incremental online.Engine that serves it.
 //
-// Every op has one body. Mutations are served by the engine, which keeps
-// live per-machine load state, so an admit/remove/update costs a suffix
+// Every op has one body, served by the engine, which keeps live
+// per-machine load state, so an admit/remove/update costs a suffix
 // replay (typically O(log m)) instead of a full re-solve. The session
 // always calls the engine's deadline-agnostic entry points
 // (AdmitConstrained, AdmitBatchConstrained): implicit tasks are the D = P
 // case, so implicit and constrained-deadline sessions share every op
 // path, and the engine is the one copy of each task's deadline.
 //
-// The engine only represents feasible states. When an implicit session's
-// resident set turns infeasible — a force commit, or a removal the engine
-// refuses — the engine disarms (eng == nil) and every op goes through the
-// session's one fallback, resolveLocked, which re-solves the candidate
-// set with the paper's batch test; the engine re-arms on the next
-// feasible commit.
+// An implicit session's resident set may turn infeasible: a force
+// commit, or a removal sorted first-fit refuses, still commits. A
+// first_fit_sorted engine holds such a set in the paper's failure state:
+// the placement-order prefix before the first task no machine admits
+// stays placed, and the rest is unplaced. So a first_fit_sorted session
+// is armed exactly while its engine's state is feasible. A local-policy
+// engine cannot hold a failure state. A local-policy session whose own
+// engine refuses a forced commit, or that opens or restores infeasible,
+// is disarmed: it holds a first_fit_sorted engine, whose answers are the
+// paper's batch test, and rebuilds its own policy engine after the next
+// committed op whose sorted result is feasible (armEngine).
 //
 // Placement is the engine's placement policy (online.Policy):
 // first_fit_sorted sessions stay byte-identical to the paper's fresh
@@ -52,7 +57,7 @@ type session struct {
 	in        partfeas.Instance
 	alpha     float64
 	placement online.Policy
-	eng       *online.Engine // nil (disarmed) while the resident set is (force-)infeasible
+	eng       *online.Engine // first_fit_sorted while a local-policy session is disarmed
 	closed    bool
 	mx        *Metrics    // per-path admission metrics; nil in bare tests
 	dur       *durability // WAL ack gate; nil without -data-dir (all calls nil-safe)
@@ -73,8 +78,8 @@ type session struct {
 	tail      []*oplog.Op
 
 	// Constrained-deadline sessions (deadline_model "constrained") admit
-	// through the engine's tiered DBF pipeline. They have no batch
-	// fallback, so the engine is always armed, and force commits and
+	// through the engine's tiered DBF pipeline. That engine cannot hold an
+	// infeasible set, so it is always armed, and force commits and
 	// repartition are refused.
 	constrained bool
 }
@@ -125,11 +130,11 @@ func (st *sessionStore) count() int {
 // the session before it exists); empty means the store assigns the next
 // "s-<n>".
 //
-// Implicit sessions may open infeasible: they just start disarmed, on
-// the fallback. A constrained session has none, so a set the tiered
-// pipeline cannot place fails creation with 409, and a typed analysis
-// error (horizon or demand overflow) is surfaced rather than downgraded
-// to a verdict.
+// Implicit sessions may open infeasible: they just start disarmed, on a
+// first_fit_sorted engine. A constrained session cannot, so a set the
+// tiered pipeline cannot place fails creation with 409, and a typed
+// analysis error (horizon or demand overflow) is surfaced rather than
+// downgraded to a verdict.
 func (st *sessionStore) create(in partfeas.Instance, dls []int64, alpha float64, placement online.Policy, id string) (*session, error) {
 	defer st.dur.rlock()()
 	s := &session{
@@ -148,12 +153,13 @@ func (st *sessionStore) create(in partfeas.Instance, dls []int64, alpha float64,
 	if s.constrained && in.Scheduler != partfeas.EDF {
 		return nil, &httpError{code: http.StatusBadRequest, msg: "constrained-deadline sessions require the EDF scheduler"}
 	}
-	eng, err := online.NewEngine(s.in.Tasks, s.in.Platform, s.engineOptions(dls))
+	var err error
+	s.eng, err = online.NewEngine(s.in.Tasks, s.in.Platform, s.engineOptions(dls))
+	if !s.constrained && errors.Is(err, online.ErrInfeasible) {
+		err = s.disarm() // opens disarmed
+	}
 	switch {
 	case err == nil:
-		s.eng = eng
-	case !s.constrained && errors.Is(err, online.ErrInfeasible):
-		// Opens disarmed, on the fallback.
 	case !s.constrained:
 		return nil, badRequest("%v", err)
 	case errors.Is(err, online.ErrInfeasible):
@@ -388,49 +394,63 @@ func (s *session) engineOptions(dls []int64) online.Options {
 	}
 }
 
-// armEngine rebuilds an implicit session's engine over the current task
-// set. On failure (the set is infeasible at the session augmentation) the
-// session stays disarmed. Caller holds s.mu.
+// armed reports whether the session's engine runs the session's own
+// policy over a feasible set. Only an armed session repartitions and
+// snapshots its engine placement.
+func (s *session) armed() bool {
+	return s.eng.Feasible() && s.eng.PlacementPolicy().Ordered() == s.placement.Ordered()
+}
+
+// holds reports whether the engine can commit a mutation it refuses: a
+// first_fit_sorted implicit-deadline engine.
+func (s *session) holds() bool {
+	return !s.constrained && s.eng.PlacementPolicy().Ordered()
+}
+
+// disarm puts an implicit session on a first_fit_sorted engine over its
+// resident set, which holds the fresh solve's failure state when the set
+// is infeasible. On error (a malformed set) the engine is unchanged.
+func (s *session) disarm() error {
+	opts := s.engineOptions(nil)
+	opts.Policy = online.FirstFitSorted()
+	eng, err := online.NewEngine(s.in.Tasks, s.in.Platform, opts)
+	if eng == nil {
+		return err
+	}
+	s.eng = eng
+	return nil
+}
+
+// armEngine re-arms a disarmed local-policy session whose sorted state
+// is feasible by rebuilding its own policy engine, and keeps the sorted
+// engine when the policy cannot place the set. first_fit_sorted
+// sessions arm by feasibility alone. Caller holds s.mu.
 func (s *session) armEngine() {
+	if s.armed() || !s.eng.Feasible() {
+		return
+	}
 	if eng, err := online.NewEngine(s.in.Tasks, s.in.Platform, s.engineOptions(nil)); err == nil {
 		s.eng = eng
 	}
 }
 
-// resolveLocked is the one fallback for a resident set the engine cannot
-// hold; implicit sessions only, caller holds s.mu. The candidate is
-// validated first, so a bad one answers 400 whether or not the engine is
-// armed.
-//
-// While the session is disarmed, the paper's batch test re-solves the
-// candidate from scratch at the session alpha: it commits when the test
-// accepts it or force is set, and the engine re-arms as soon as the
-// committed set is feasible. An armed engine has already refused cand
-// (the caller is forcing it), so its verdict stands: cand commits without
-// a re-test and the engine disarms; the returned Report is then empty and
-// the caller answers with the engine's witness.
-func (s *session) resolveLocked(ctx context.Context, cand partfeas.TaskSet, force bool) (partfeas.Report, error) {
-	in := partfeas.Instance{Tasks: cand, Platform: s.in.Platform, Scheduler: s.in.Scheduler}
-	if err := in.Validate(); err != nil {
-		return partfeas.Report{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
-	}
-	var rep partfeas.Report
-	if s.eng == nil {
-		var err error
-		if rep, err = partfeas.TestCtx(ctx, in, s.alpha); err != nil || !(rep.Accepted || force) {
-			return rep, err
-		}
-	}
-	s.in.Tasks, s.eng = cand, nil
-	if rep.Accepted {
+// committed finishes an implicit session's committed op, given the
+// engine's verdict ok: a feasible result may re-arm the session, and a
+// refusal its local-policy engine could not hold disarms it, with no
+// re-arm attempt even when the sorted set is feasible. Caller holds s.mu.
+func (s *session) committed(ok bool) error {
+	switch {
+	case ok:
 		s.armEngine()
+	case !s.holds():
+		return s.disarm()
 	}
-	return rep, nil
+	return nil
 }
 
-// ctxGuard mirrors Tester.TestCtx's contract on the engine path: an
-// expired or cancelled context yields the same *pipeline.Error shape, so
-// clients cannot tell which path answered.
+// ctxGuard gives the engine path the library solve's cancellation
+// contract: an expired or cancelled context yields the same
+// *pipeline.Error shape, so clients cannot tell which path answered.
 func ctxGuard(ctx context.Context) error {
 	if cerr := ctx.Err(); cerr != nil {
 		return pipeline.New(pipeline.StageAnalyze, "Test", cerr)
@@ -450,11 +470,8 @@ func (s *session) engReport(res partition.Result) partfeas.Report {
 }
 
 // currentReport answers "test the resident set at the session alpha"
-// from the engine when armed, else from a fresh batch test.
+// from the engine, whose state is the fresh solve's, feasible or not.
 func (s *session) currentReport(ctx context.Context) (partfeas.Report, error) {
-	if s.eng == nil {
-		return partfeas.TestCtx(ctx, s.in, s.alpha)
-	}
 	if err := ctxGuard(ctx); err != nil {
 		return partfeas.Report{}, err
 	}
@@ -525,8 +542,9 @@ func (s *session) test(ctx context.Context, alpha float64) (TestResponse, error)
 }
 
 // addTask tentatively admits one more task: committed only on acceptance
-// (or force). The armed engine answers incrementally; a force-committed
-// rejection disarms it until the set is feasible again.
+// (or force). A force-committed rejection leaves the session disarmed
+// until its set is feasible again. The op is acknowledged (logged)
+// before any state changes, so a durable admit is all-or-nothing.
 func (s *session) addTask(ctx context.Context, t partfeas.Task, dl int64, force bool) (AdmissionResponse, error) {
 	defer s.dur.rlock()()
 	if err := s.checkDeadlineArg(dl, t.Period, force); err != nil {
@@ -534,13 +552,6 @@ func (s *session) addTask(ctx context.Context, t partfeas.Task, dl int64, force 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.addTaskLocked(ctx, t, dl, force)
-}
-
-// addTaskLocked is the single-admit body; the caller holds s.mu. The op
-// is acknowledged (logged) before any state changes and applied with
-// cancellation stripped, so a durable admit is all-or-nothing.
-func (s *session) addTaskLocked(ctx context.Context, t partfeas.Task, dl int64, force bool) (AdmissionResponse, error) {
 	if err := s.guard(); err != nil {
 		return AdmissionResponse{}, err
 	}
@@ -553,35 +564,28 @@ func (s *session) addTaskLocked(ctx context.Context, t partfeas.Task, dl int64, 
 	}); err != nil {
 		return AdmissionResponse{}, err
 	}
-	ctx = s.dur.applyCtx(ctx)
-	idx := len(s.in.Tasks) // t's index in the tentative set and, committed, in the resident one
-	if s.eng == nil {
-		rep, err := s.resolveLocked(ctx, append(s.in.Tasks.Clone(), t), force)
-		if err != nil {
-			return AdmissionResponse{}, err
-		}
-		resp := admissionFor(rep, idx)
-		resp.Admitted = rep.Accepted || force
-		resp.RolledBack, resp.NTasks = !resp.Admitted, len(s.in.Tasks)
-		return resp, nil
-	}
 	start := time.Now()
-	res, admitted, err := s.eng.AdmitConstrained(constrainedTask(t, dl))
+	var res partition.Result
+	var admitted bool
+	var err error
+	if force && s.holds() {
+		res, admitted, err = s.eng.ForceAdmit(t)
+	} else {
+		res, admitted, err = s.eng.AdmitConstrained(constrainedTask(t, dl))
+	}
 	if err != nil {
 		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
 	}
 	s.observeAdmission(start)
-	resp := admissionFor(s.engReport(res), idx)
+	// t's index in the tentative set and, committed, in the resident one.
+	resp := admissionFor(s.engReport(res), len(s.in.Tasks))
 	resp.Admitted = admitted || force
-	switch {
-	case admitted:
+	resp.RolledBack = !resp.Admitted
+	if resp.Admitted {
 		s.in.Tasks = append(s.in.Tasks, t)
-	case force:
-		if _, err := s.resolveLocked(ctx, append(s.in.Tasks.Clone(), t), true); err != nil {
+		if err := s.committed(admitted); err != nil {
 			return AdmissionResponse{}, err
 		}
-	default:
-		resp.RolledBack = true
 	}
 	resp.NTasks = len(s.in.Tasks)
 	return resp, nil
@@ -625,7 +629,7 @@ func (s *session) observeAdmission(start time.Time) {
 // observeTier records the deepest DBF tier the engine's last op used
 // (no-op for implicit-deadline ops). Caller holds s.mu.
 func (s *session) observeTier(d time.Duration) {
-	if s.mx == nil || s.eng == nil {
+	if s.mx == nil {
 		return
 	}
 	if tp, ok := TierPath(s.eng.LastOpStats().MaxTier); ok {
@@ -637,7 +641,12 @@ func (s *session) observeTier(d time.Duration) {
 // identical to admitting the tasks one at a time in input order
 // (best-effort mode), or the batch commits atomically or not at all
 // (all-or-nothing mode). dls is nil when the request carried no
-// deadlines.
+// deadlines. It logs the op, then runs the batch through the engine —
+// one merged suffix replay — and records its latency. A disarmed session
+// runs a best-effort batch one task at a time instead (stepwise), as
+// single admits, so it re-arms at the first task that makes its sorted
+// set feasible; the armed engine then takes the rest as one batch, and
+// the answer is its final state.
 func (s *session) addTaskBatch(ctx context.Context, ts []partfeas.Task, dls []int64, mode online.BatchMode) (BatchAdmissionResponse, error) {
 	defer s.dur.rlock()()
 	s.mu.Lock()
@@ -660,88 +669,52 @@ func (s *session) addTaskBatch(ctx context.Context, ts []partfeas.Task, dls []in
 	if err := ctxGuard(ctx); err != nil {
 		return BatchAdmissionResponse{}, err
 	}
-	return s.admitBatchLocked(ctx, ts, dls, mode)
-}
-
-// admitBatchLocked is the batch body; the caller holds s.mu and has run
-// the guards. It logs the op, then runs the batch through the armed
-// engine — one merged suffix replay — and records its latency. While the
-// resident set is infeasible the batch goes through resolveLocked
-// instead: one union test decides an all-or-nothing batch (which then
-// degenerates to reject-all, since adding tasks cannot restore
-// feasibility), and a best-effort batch tests each task in order against
-// the then-current set until feasibility returns, when the engine
-// finishes the rest.
-func (s *session) admitBatchLocked(ctx context.Context, ts []partfeas.Task, dls []int64, mode online.BatchMode) (BatchAdmissionResponse, error) {
 	op := &oplog.Op{
 		Type: oplog.TypeAdmitBatch, Session: s.id,
 		BatchMode: mode.String(),
 		Tasks:     make([]oplog.Task, len(ts)),
 	}
+	cs := make(dbf.Set, len(ts))
 	for i, t := range ts {
 		op.Tasks[i] = oplog.Task{Name: t.Name, WCET: t.WCET, Period: t.Period, Deadline: deadlineAt(dls, i)}
+		cs[i] = constrainedTask(t, deadlineAt(dls, i))
 	}
 	if err := s.logOp(op); err != nil {
 		return BatchAdmissionResponse{}, err
 	}
-	ctx = s.dur.applyCtx(ctx)
-	if s.eng != nil {
-		start := time.Now()
-		res, admitted, err := s.engineBatch(ts, dls, mode)
+	start := time.Now()
+	stepwise := !s.armed() && mode == online.BestEffort
+	admitted := make([]bool, 0, len(ts))
+	var res partition.Result
+	for i := 0; i < len(ts); {
+		n := len(ts) - i
+		if stepwise && !s.armed() {
+			n = 1
+		}
+		r, part, err := s.engineBatch(ts[i:i+n], cs[i:i+n], mode)
 		if err != nil {
 			return BatchAdmissionResponse{}, err
 		}
-		if s.mx != nil {
-			d := time.Since(start)
-			s.mx.AdmissionObserved(PathBatch, d)
-			s.observeTier(d)
+		admitted = append(admitted, part...)
+		if slices.Contains(part, true) {
+			s.armEngine()
 		}
-		return s.batchResponse(mode, admitted, s.engReport(res)), nil
+		res, i = r, i+n
 	}
-	admitted := make([]bool, len(ts))
-	if mode == online.AllOrNothing {
-		rep, err := s.resolveLocked(ctx, append(s.in.Tasks.Clone(), ts...), false)
-		if err != nil {
-			return BatchAdmissionResponse{}, err
-		}
-		for i := range admitted {
-			admitted[i] = rep.Accepted
-		}
-		return s.batchResponse(mode, admitted, rep), nil
+	if stepwise && s.armed() {
+		res = s.eng.Result()
 	}
-	var rep partfeas.Report
-	for i, t := range ts {
-		if s.eng != nil {
-			// Feasibility returned mid-batch: the engine finishes it.
-			if err := ctxGuard(ctx); err != nil {
-				return BatchAdmissionResponse{}, err
-			}
-			_, rest, err := s.engineBatch(ts[i:], nil, online.BestEffort)
-			if err != nil {
-				return BatchAdmissionResponse{}, err
-			}
-			copy(admitted[i:], rest)
-			break
-		}
-		var err error
-		if rep, err = s.resolveLocked(ctx, append(s.in.Tasks.Clone(), t), false); err != nil {
-			return BatchAdmissionResponse{}, err
-		}
-		admitted[i] = rep.Accepted
+	if s.mx != nil {
+		d := time.Since(start)
+		s.mx.AdmissionObserved(PathBatch, d)
+		s.observeTier(d)
 	}
-	if s.eng != nil {
-		rep = s.engReport(s.eng.Result())
-	}
-	return s.batchResponse(mode, admitted, rep), nil
+	return s.batchResponse(mode, admitted, s.engReport(res)), nil
 }
 
-// engineBatch runs ts through the armed engine as one batch and appends
-// the admitted tasks. Caller holds s.mu.
-func (s *session) engineBatch(ts []partfeas.Task, dls []int64, mode online.BatchMode) (partition.Result, []bool, error) {
-	cs := make(dbf.Set, len(ts))
-	for i, t := range ts {
-		cs[i] = constrainedTask(t, deadlineAt(dls, i))
-	}
+// engineBatch runs ts, in engine form cs, through the engine as one
+// batch and appends the admitted tasks. Caller holds s.mu.
+func (s *session) engineBatch(ts []partfeas.Task, cs dbf.Set, mode online.BatchMode) (partition.Result, []bool, error) {
 	res, admitted, err := s.eng.AdmitBatchConstrained(cs, mode)
 	if err != nil {
 		return res, nil, &httpError{code: http.StatusBadRequest, msg: err.Error()}
@@ -758,7 +731,8 @@ func (s *session) engineBatch(ts []partfeas.Task, dls []int64, mode online.Batch
 // admitted tasks were appended in input order, so they are the last
 // NAdmitted resident tasks, and each one's machine is its entry at that
 // index in rep: rep covers the committed set whenever anything was
-// admitted (a fallback witness covers it plus one rejected candidate).
+// admitted (a disarmed best-effort batch's last witness covers it plus
+// one rejected candidate).
 func (s *session) batchResponse(mode online.BatchMode, admitted []bool, rep partfeas.Report) BatchAdmissionResponse {
 	n := 0
 	for _, ok := range admitted {
@@ -796,9 +770,9 @@ func deadlineAt(dls []int64, i int) int64 {
 
 // removeTask always commits (releasing load cannot be refused) and
 // reports the re-test of the shrunken set. Sorted first-fit is not
-// monotone under removals, so the engine can (rarely) refuse a removal
-// whose shrunken set re-solves infeasible — an implicit session still
-// commits it, through resolveLocked; a constrained one keeps the task
+// monotone under removals, so the shrunken set can (rarely) re-solve
+// infeasible — an implicit session still commits it, and its sorted
+// engine holds the failure state; a constrained one keeps the task
 // resident and answers with the rejection witness.
 func (s *session) removeTask(ctx context.Context, idx int) (AdmissionResponse, error) {
 	defer s.dur.rlock()()
@@ -819,28 +793,20 @@ func (s *session) removeTask(ctx context.Context, idx int) (AdmissionResponse, e
 	if err := s.logOp(&oplog.Op{Type: oplog.TypeRemove, Session: s.id, Target: idx}); err != nil {
 		return AdmissionResponse{}, err
 	}
-	ctx = s.dur.applyCtx(ctx)
-	if s.eng == nil {
-		rep, err := s.resolveLocked(ctx, without(s.in.Tasks, idx), true)
-		if err != nil {
-			return AdmissionResponse{}, err
-		}
-		return AdmissionResponse{Admitted: rep.Accepted, NTasks: len(s.in.Tasks), Test: summaryFrom(rep)}, nil
+	forced, remove := s.holds(), s.eng.Remove
+	if forced {
+		remove = s.eng.ForceRemove
 	}
-	res, ok, err := s.eng.Remove(idx)
+	res, ok, err := remove(idx)
 	if err != nil {
 		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
 	}
-	resp := AdmissionResponse{Admitted: ok, Test: summaryFrom(s.engReport(res))}
-	switch {
-	case ok:
+	resp := AdmissionResponse{Admitted: ok, RolledBack: !(ok || forced), Test: summaryFrom(s.engReport(res))}
+	if !resp.RolledBack {
 		// The engine holds its own copy of the tasks, so the session's
 		// slice is deleted from in place.
 		s.in.Tasks = slices.Delete(s.in.Tasks, idx, idx+1)
-	case s.constrained:
-		resp.RolledBack = true
-	default:
-		if _, err := s.resolveLocked(ctx, without(s.in.Tasks, idx), true); err != nil {
+		if err := s.committed(ok); err != nil {
 			return AdmissionResponse{}, err
 		}
 	}
@@ -849,7 +815,9 @@ func (s *session) removeTask(ctx context.Context, idx int) (AdmissionResponse, e
 }
 
 // updateWCET changes one task's WCET through the engine's incremental
-// path, rolling back when the re-test rejects and force is unset.
+// path, rolling back when the re-test rejects and force is unset. The
+// new WCET is vetted before the op is logged, so a malformed one leaves
+// no record.
 func (s *session) updateWCET(ctx context.Context, idx int, wcet int64, force bool) (AdmissionResponse, error) {
 	defer s.dur.rlock()()
 	s.mu.Lock()
@@ -863,59 +831,41 @@ func (s *session) updateWCET(ctx context.Context, idx int, wcet int64, force boo
 	if s.constrained && force {
 		return AdmissionResponse{}, errConstrainedForce
 	}
+	if wcet <= 0 {
+		return AdmissionResponse{}, badRequest("task %d: wcet %d must be positive", idx, wcet)
+	}
+	if s.constrained && wcet > s.eng.Deadline(idx) {
+		return AdmissionResponse{}, badRequest("task %d: wcet %d exceeds its deadline %d", idx, wcet, s.eng.Deadline(idx))
+	}
 	if err := ctxGuard(ctx); err != nil {
 		return AdmissionResponse{}, err
 	}
 	if err := s.logOp(&oplog.Op{Type: oplog.TypeUpdateWCET, Session: s.id, Target: idx, WCET: wcet, Force: force}); err != nil {
 		return AdmissionResponse{}, err
 	}
-	ctx = s.dur.applyCtx(ctx)
-	if s.eng == nil {
-		rep, err := s.resolveLocked(ctx, withWCET(s.in.Tasks, idx, wcet), force)
-		if err != nil {
-			return AdmissionResponse{}, err
-		}
-		resp := admissionFor(rep, idx)
-		resp.Admitted = rep.Accepted || force
-		resp.RolledBack, resp.NTasks = !resp.Admitted, len(s.in.Tasks)
-		return resp, nil
+	update := s.eng.UpdateWCET
+	if force && s.holds() {
+		update = s.eng.ForceUpdateWCET
 	}
-	res, ok, err := s.eng.UpdateWCET(idx, wcet)
+	res, ok, err := update(idx, wcet)
 	if err != nil {
 		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
 	}
 	resp := admissionFor(s.engReport(res), idx)
 	resp.Admitted = ok || force
-	switch {
-	case ok:
+	resp.RolledBack = !resp.Admitted
+	if resp.Admitted {
 		s.in.Tasks[idx].WCET = wcet
-	case force:
-		if _, err := s.resolveLocked(ctx, withWCET(s.in.Tasks, idx, wcet), true); err != nil {
+		if err := s.committed(ok); err != nil {
 			return AdmissionResponse{}, err
 		}
-	default:
-		resp.RolledBack = true
 	}
 	resp.NTasks = len(s.in.Tasks)
 	return resp, nil
 }
 
-// without is a fresh copy of ts minus task idx: the candidate for a
-// removal the engine does not commit.
-func without(ts partfeas.TaskSet, idx int) partfeas.TaskSet {
-	return append(ts[:idx].Clone(), ts[idx+1:]...)
-}
-
-// withWCET is a copy of ts with task idx's WCET replaced.
-func withWCET(ts partfeas.TaskSet, idx int, wcet int64) partfeas.TaskSet {
-	c := ts.Clone()
-	c[idx].WCET = wcet
-	return c
-}
-
-// errNoEngine is the repartition answer for sessions whose resident set
-// is infeasible (engine disarmed): there is no feasible target to drift
-// from.
+// errNoEngine is the repartition answer for disarmed sessions: the
+// session's own policy engine holds no placement to drift from.
 var errNoEngine = &httpError{code: http.StatusConflict, msg: "session has no armed engine (resident set infeasible); restore feasibility first"}
 
 // repartition measures drift between the session's live placement and
@@ -932,7 +882,7 @@ func (s *session) repartition(ctx context.Context, maxMoves int, apply bool) (Re
 	if s.constrained {
 		return RepartitionResponse{}, errConstrainedRepartition
 	}
-	if s.eng == nil {
+	if !s.armed() {
 		return RepartitionResponse{}, errNoEngine
 	}
 	if err := ctxGuard(ctx); err != nil {
