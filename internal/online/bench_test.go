@@ -71,7 +71,30 @@ var benchOrders = []struct {
 // replacement for the full re-solve below. The acceptance comparison is
 // sorted/tail (the path sessions hit for typical arrivals) against
 // BenchmarkFullResolveAdmit.
+//
+// sorted/reject/n=… is one refused admission through AdmitSummary, the
+// call a served session makes: a utilization-3 task sorts first and no
+// machine (speeds 0.5–2.5) admits it, on the m=64 instance at three
+// sizes. It answers without inserting, so it stays flat in n and
+// allocates nothing.
 func BenchmarkOnlineAdmit(b *testing.B) {
+	for _, n := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("sorted/reject/n=%d", n), func(b *testing.B) {
+			ts, p := benchInstanceShape(64, n)
+			e, err := NewEngine(ts, p, Options{Admission: partition.EDFAdmission{}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			reject := dbf.Task{WCET: 300, Deadline: 100, Period: 100}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if sum, err := e.AdmitSummary(reject, false); err != nil || sum.Feasible {
+					b.Fatalf("reject: %+v err=%v", sum, err)
+				}
+			}
+		})
+	}
 	ts, p := benchInstance()
 	for _, ord := range benchOrders {
 		for _, probe := range benchProbes {

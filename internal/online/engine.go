@@ -47,6 +47,24 @@
 // its previous state, while the caller still receives the failed
 // partition witness a fresh solve would have reported.
 //
+// A first_fit_sorted implicit-deadline engine refuses some admissions
+// without inserting at all (refuseEarly): when a failure state stands
+// before the new task's position, or when no machine's prefix state
+// before that position admits it, the fresh solve's answer is already
+// known, so there is no journal, no renumbering and no replay — m binary
+// searches over the placed lists give the loads. Local-policy and
+// constrained engines keep the insert-and-rollback refusal (a local
+// admit inserts at the end, where that costs O(1)).
+//
+// Admit, Remove, UpdateWCET and their Force variants return the full
+// partition.Result, refusal witness included: an n-entry assignment that
+// the differential tests compare with a fresh solve. A served session
+// reads only the verdict, the failed task, the m loads and the op task's
+// own machine, so it calls AdmitSummary, RemoveSummary and
+// UpdateWCETSummary instead (summary.go), which never build the witness
+// assignment: a refused admit then costs O(m log n) and allocates
+// nothing.
+//
 // A first_fit_sorted engine with implicit deadlines can also commit
 // that witness (ForceAdmit, ForceRemove, ForceUpdateWCET, or NewEngine
 // over an infeasible set) and hold the fresh solve's failure state: the
@@ -264,7 +282,13 @@ type Engine struct {
 	edTreeOK bool // treeOK at begin; commit/rollback restore it incrementally
 
 	stats    OpStats
-	loadsBuf []float64 // Result scratch
+	loadsBuf []float64 // Result scratch; a Summary refusal's loads too
+
+	// brief is set while a Summary call runs: a refusal then answers
+	// without its n-entry witness assignment, and briefMach records the
+	// op task's entry in that assignment instead.
+	brief     bool
+	briefMach int
 
 	// Periodic-repartition hook (PeriodicRepartition policies): after
 	// every repartEvery-th successful top-level mutation the engine
@@ -418,10 +442,15 @@ func (e *Engine) fitsAgg(j int, id int32) bool {
 // prefix of the list and a binary search finds its end. Mid-mutation a
 // removed or re-ranked task can sit out of order, but at or past the
 // edit point, so the predicate is still a prefix for the edit-point
-// query that truncates its machine.
+// query that truncates its machine. A position before the machine's
+// first placement answers without the search (a head refusal asks every
+// machine that).
 func (e *Engine) prefixLen(j, at int) int {
 	placed, pos := e.machs[j].placed, e.pos
-	lo, hi := 0, len(placed)
+	if len(placed) == 0 || int(pos[placed[0]]) >= at {
+		return 0
+	}
+	lo, hi := 1, len(placed)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if int(pos[placed[mid]]) < at {
@@ -1094,7 +1123,15 @@ func (e *Engine) settle(failID, exclude int, force bool) (partition.Result, bool
 		return partition.Result{}, false, fmt.Errorf("online: %w", perr)
 	}
 	if failID >= 0 && !force {
-		res := e.failResult(failID, exclude)
+		at := len(e.sorted)
+		if e.ordered {
+			at = int(e.pos[failID])
+		}
+		opID := -1 // the op task whose witness entry a Summary reports
+		if e.ed.op == opInsert || e.ed.op == opUpdate {
+			opID = e.ed.id
+		}
+		res := e.failResult(failID, at, exclude, opID)
 		e.rollback()
 		return res, false, nil
 	}
@@ -1133,42 +1170,66 @@ func (e *Engine) hold(failID int) {
 }
 
 // failResult builds the partition.Result a fresh Solve over the
-// surviving multiset reports when task failID cannot be placed: the
-// prefix before the failure keeps its (byte-identical) assignment, the
-// failing task and everything after it is unplaced, and per-machine
-// loads are the folds as of the failure point. Under a local policy only
-// the failing task is unplaced: every other task keeps its current
-// machine. exclude ≥ 0 compacts task ids for a removal in flight (fresh
-// solves of the shrunken set number tasks without it). The result is
-// freshly allocated.
-func (e *Engine) failResult(failID, exclude int) partition.Result {
-	at := int(e.pos[failID])
-	if !e.ordered {
-		at = len(e.sorted)
+// candidate multiset reports when task failID, at placement-order
+// position at, cannot be placed: the prefix before the failure keeps its
+// (byte-identical) assignment, the failing task and everything after it
+// is unplaced, and per-machine loads are the folds as of the failure
+// point. Under a local policy at is the end of the order, so only the
+// failing task is unplaced. exclude ≥ 0 compacts task ids for a removal
+// in flight (fresh solves of the shrunken set number tasks without it).
+// A task id past the placement arrays (an admission refused before its
+// insertion) is unplaced.
+//
+// The result is freshly allocated, except in a Summary call (brief),
+// which gets no assignment, loads in engine scratch, and op task opID's
+// entry in briefMach.
+func (e *Engine) failResult(failID, at, exclude, opID int) partition.Result {
+	res := partition.Result{FailedTask: failID, Alpha: e.alpha}
+	if exclude >= 0 && failID > exclude {
+		res.FailedTask--
 	}
-	as := make([]int, 0, len(e.tasks))
-	for id := range e.tasks {
-		switch {
-		case id == exclude:
-		case id != failID && int(e.pos[id]) < at:
-			as = append(as, int(e.assign[id]))
-		default:
-			as = append(as, -1)
-		}
+	loads := e.loadsBuf
+	if !e.brief {
+		loads = make([]float64, len(e.p))
 	}
-	loads := make([]float64, len(e.p))
 	for j := range e.machs {
 		if e.dirtyAt(j) {
 			loads[j] = e.machs[j].load()
-		} else if x := e.prefixLen(j, at); x > 0 {
-			loads[j] = e.machs[j].cum[x-1]
+		} else {
+			loads[j] = e.foldAt(j, at)
 		}
 	}
-	failed := failID
-	if exclude >= 0 && failID > exclude {
-		failed--
+	res.Loads = loads
+	if e.brief {
+		e.briefMach = e.witnessEntry(opID, failID, at)
+		return res
 	}
-	return partition.Result{Assignment: as, FailedTask: failed, Loads: loads, Alpha: e.alpha}
+	as := make([]int, 0, len(e.tasks))
+	for id := range e.tasks {
+		if id != exclude {
+			as = append(as, e.witnessEntry(id, failID, at))
+		}
+	}
+	res.Assignment = as
+	return res
+}
+
+// witnessEntry is task id's entry in failResult's assignment: its
+// machine when it is placed before the failure position at, else -1.
+func (e *Engine) witnessEntry(id, failID, at int) int {
+	if id >= 0 && id < len(e.pos) && id != failID && int(e.pos[id]) < at {
+		return int(e.assign[id])
+	}
+	return -1
+}
+
+// foldAt is machine j's utilization load just before placement-order
+// position at: the matching prefix of its cumulative fold.
+func (e *Engine) foldAt(j, at int) float64 {
+	if x := e.prefixLen(j, at); x > 0 {
+		return e.machs[j].cum[x-1]
+	}
+	return 0
 }
 
 // rollback restores the pre-mutation state from the undo journal. The
@@ -1260,6 +1321,13 @@ func (e *Engine) insertSorted(id int32, k int) {
 // the engine is unchanged and res is the failed fresh-solve witness over
 // the candidate set. res aliases no engine scratch on rejection; on
 // acceptance it follows Result's aliasing rules.
+//
+// The witness's n-entry assignment is what the differential tests and
+// the repository benchmark's replay compare with a fresh solve, so Admit
+// always builds it (failResult), even when the refusal itself is
+// answered without inserting (refuseEarly). A caller that reads only
+// the verdict, the loads and the task's own machine — a served session —
+// calls AdmitSummary, which builds no assignment.
 func (e *Engine) Admit(t task.Task) (res partition.Result, admitted bool, err error) {
 	if err := t.Validate(); err != nil {
 		return partition.Result{}, false, fmt.Errorf("online: %w", err)
@@ -1326,17 +1394,22 @@ func (e *Engine) admitOne(t task.Task, d int64, force bool) (res partition.Resul
 	id := int32(len(e.tasks))
 	e.tasks = append(e.tasks, t)
 	e.utils = append(e.utils, t.Utilization())
-	e.assign = append(e.assign, -1)
-	e.assignPub = append(e.assignPub, -1)
 	if e.kind == admDBF {
 		e.dl = append(e.dl, d)
 		e.dens = append(e.dens, float64(t.WCET)/float64(d))
 	}
-
 	k := len(e.sorted)
 	if e.ordered {
 		k = sort.Search(len(e.sorted), func(i int) bool { return e.less(id, e.sorted[i]) })
 	}
+	if !force && e.ordered && e.kind != admDBF {
+		if res, ok := e.refuseEarly(id, k); ok {
+			e.tasks, e.utils = e.tasks[:id], e.utils[:id]
+			return res, false, nil
+		}
+	}
+	e.assign = append(e.assign, -1)
+	e.assignPub = append(e.assignPub, -1)
 	e.pos = append(e.pos, 0)
 	e.insertSorted(id, k)
 	e.recomputePos(k)
@@ -1361,6 +1434,40 @@ func (e *Engine) admitOne(t task.Task, d int64, force bool) (res partition.Resul
 		failID = e.replayFrom(k)
 	}
 	return e.settle(failID, -1, force)
+}
+
+// refuseEarly answers an ordered implicit-deadline admission of task id
+// — appended to tasks and utils, not yet inserted — at placement-order
+// position k when the fresh solve's refusal is known without inserting:
+//
+//   - a failure state stands before k, so the refusal is that failure
+//     (an edit past the failure position changes nothing placed);
+//   - no machine's state before k admits id, so the fresh solve fails at
+//     id itself: the prefix before k places exactly as it does now.
+//
+// ok is false when neither holds. A machine that admits id against its
+// live aggregates admits it before k too (every prefix fold is at most
+// the live one), so the O(log m) capacity-tree probe settles most
+// admissions that place before the O(m log n) prefix scan runs; tail
+// admissions skip both, since the tail path answers them in O(log m)
+// with an O(1) insertion.
+func (e *Engine) refuseEarly(id int32, k int) (res partition.Result, ok bool) {
+	// An empty scope: nothing is journaled, and no machine reads as
+	// dirtied by the previous mutation.
+	e.begin(edit{})
+	e.stats = OpStats{ReplayFrom: -1, BatchSize: 1}
+	if e.failID >= 0 && int(e.pos[e.failID]) < k {
+		return e.failResult(e.failID, int(e.pos[e.failID]), -1, int(id)), true
+	}
+	if k == len(e.sorted) || e.firstFitAgg(id) >= 0 {
+		return res, false
+	}
+	for j := range e.machs {
+		if e.fitsAt(j, id, k) {
+			return res, false
+		}
+	}
+	return e.failResult(int(id), k, -1, int(id)), true
 }
 
 // Remove deletes task id (later ids shift down by one, mirroring the

@@ -2,10 +2,12 @@ package online
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"partfeas/internal/dbf"
 	"partfeas/internal/machine"
 	"partfeas/internal/partition"
 	"partfeas/internal/task"
@@ -13,12 +15,15 @@ import (
 
 // TestEngineMatchesRebuild drives each structural mutation — Admit,
 // Remove, UpdateWCET (which re-sorts the edited task), their forced
-// forms, and a full repartition — and then requires the live engine to
-// be indistinguishable from an engine freshly built over the surviving
-// task set and from a fresh sorted solve: same result bits, feasible or
-// not.
+// forms, head admissions no machine takes, and a full repartition — and
+// then requires the live engine to be indistinguishable from an engine
+// freshly built over the surviving task set and from a fresh sorted
+// solve: same result bits, feasible or not. Every single-task op also
+// runs through its Summary call on a twin (singleOp.apply), and a
+// refusal's witness is held to the fresh solve of the candidate set.
 func TestEngineMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(104729))
+	heads := [2]int{} // head refusals on a feasible engine, on a failing one
 	for inst := 0; inst < 8; inst++ {
 		p := randPlatform(rng)
 		adm := testAdmissions[inst%len(testAdmissions)]
@@ -34,20 +39,24 @@ func TestEngineMatchesRebuild(t *testing.T) {
 		}
 		for op := 0; op < 60; op++ {
 			force := rng.Intn(3) == 0
-			admit, remove, update := e.Admit, e.Remove, e.UpdateWCET
-			if force {
-				admit, remove, update = e.ForceAdmit, e.ForceRemove, e.ForceUpdateWCET
-			}
 			var res partition.Result
-			switch k := rng.Intn(10); {
+			single := true
+			var sop singleOp
+			switch k := rng.Intn(12); {
 			case k < 3:
-				res, _, err = admit(randTask(rng))
+				sop = singleOp{kind: opAdmit, tk: randTask(rng)}
 			case k < 6 && e.Len() > 1:
-				res, _, err = remove(rng.Intn(e.Len()))
+				sop = singleOp{kind: opDrop, id: rng.Intn(e.Len())}
 			case k < 8:
 				id := rng.Intn(e.Len())
-				res, _, err = update(id, 1+rng.Int63n(e.Tasks()[id].Period))
+				sop = singleOp{kind: opWCET, id: id, wcet: 1 + rng.Int63n(e.Tasks()[id].Period)}
+			case k < 10:
+				sop = singleOp{kind: opAdmit, tk: headTask(rng)}
+				if !force {
+					heads[b2i(!e.Feasible())]++
+				}
 			default:
+				single = false
 				pl, perr := e.PlanRepartition()
 				if perr != nil {
 					t.Fatal(perr)
@@ -56,6 +65,10 @@ func TestEngineMatchesRebuild(t *testing.T) {
 					_, err = e.ApplyRepartition(pl, -1)
 				}
 				res = e.Result()
+			}
+			if single {
+				sop.force = force
+				res, _ = sop.apply(t, e, p, adm)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -75,6 +88,116 @@ func TestEngineMatchesRebuild(t *testing.T) {
 			sameResult(t, "rebuilt", e.Result().Clone(), fresh.Result().Clone())
 		}
 	}
+	if heads[0] == 0 || heads[1] == 0 {
+		t.Fatalf("head refusals: %d on feasible engines, %d on failing ones; want both", heads[0], heads[1])
+	}
+}
+
+// headTask has a utilization above every test platform's fastest speed,
+// so it sorts first and no machine admits it: a head refusal, answered
+// without insertion unless forced.
+func headTask(rng *rand.Rand) task.Task {
+	per := int64(2 + rng.Intn(1000))
+	return task.Task{WCET: 5 * per, Period: per}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// The single-task op kinds singleOp drives.
+const (
+	opAdmit = iota
+	opDrop
+	opWCET
+)
+
+// singleOp is one admission, removal or WCET update, plain or forced.
+type singleOp struct {
+	kind  int
+	tk    task.Task // opAdmit
+	id    int       // opDrop, opWCET
+	wcet  int64     // opWCET
+	force bool
+}
+
+// apply runs op on e through its plain call and, on a twin rebuilt from
+// e's multiset, through its Summary call. The Summary must describe
+// exactly what the plain result does (verdict, failed task, load bits,
+// the op task's assignment entry), the twin must end in e's state, and a
+// plain refusal's witness must be the fresh sorted solve of the
+// candidate multiset. It returns the plain call's result and verdict.
+func (op singleOp) apply(t *testing.T, e *Engine, p machine.Platform, adm partition.AdmissionTest) (partition.Result, bool) {
+	t.Helper()
+	twin, err := NewEngine(e.Tasks(), p, Options{Admission: adm, Alpha: e.Alpha()})
+	if err != nil && !errors.Is(err, ErrInfeasible) {
+		t.Fatal(err)
+	}
+	cand := e.Tasks()
+	var res partition.Result
+	var ok bool
+	var sum Summary
+	var serr error
+	entry := -1 // the op task's index in res's assignment
+	switch op.kind {
+	case opAdmit:
+		admit := e.Admit
+		if op.force {
+			admit = e.ForceAdmit
+		}
+		res, ok, err = admit(op.tk)
+		sum, serr = twin.AdmitSummary(dbf.Task{Name: op.tk.Name, WCET: op.tk.WCET, Deadline: op.tk.Period, Period: op.tk.Period}, op.force)
+		cand = append(cand, op.tk)
+		entry = len(cand) - 1
+	case opDrop:
+		remove := e.Remove
+		if op.force {
+			remove = e.ForceRemove
+		}
+		res, ok, err = remove(op.id)
+		sum, serr = twin.RemoveSummary(op.id, op.force)
+		cand = append(cand[:op.id], cand[op.id+1:]...)
+	default:
+		update := e.UpdateWCET
+		if op.force {
+			update = e.ForceUpdateWCET
+		}
+		res, ok, err = update(op.id, op.wcet)
+		sum, serr = twin.UpdateWCETSummary(op.id, op.wcet, op.force)
+		cand[op.id].WCET = op.wcet
+		entry = op.id
+	}
+	if err != nil || serr != nil {
+		t.Fatalf("%+v: plain err %v, summary err %v", op, err, serr)
+	}
+	want := Summary{Feasible: res.Feasible, FailedTask: res.FailedTask, Loads: res.Loads, Machine: -1}
+	if entry >= 0 && entry < len(res.Assignment) {
+		want.Machine = res.Assignment[entry]
+	}
+	if sum.Feasible != ok || sum.Feasible != want.Feasible || sum.FailedTask != want.FailedTask || sum.Machine != want.Machine ||
+		!reflect.DeepEqual(bitsOf(sum.Loads), bitsOf(want.Loads)) {
+		t.Fatalf("%+v: summary %+v, plain result describes %+v (verdict %v)", op, sum, want, ok)
+	}
+	if !ok && !op.force {
+		sameResult(t, "refusal witness", res.Clone(), freshSorted(t, cand, p, adm, e.Alpha()))
+	}
+	if err := twin.SelfCheck(); err != nil {
+		t.Fatalf("%+v: twin: %v", op, err)
+	}
+	sameResult(t, "summary twin", twin.Result().Clone(), e.Result().Clone())
+	return res, ok
+}
+
+// bitsOf is fs as raw float64 bits, so comparisons tell -0 from 0.
+func bitsOf(fs []float64) []uint64 {
+	out := make([]uint64, len(fs))
+	for i, f := range fs {
+		out[i] = math.Float64bits(f)
+	}
+	return out
 }
 
 // TestEngineFuzzOps is the widest randomized cross-check: arbitrary
@@ -188,12 +311,18 @@ func TestEngineFuzzOps(t *testing.T) {
 // admit, removal or WCET update, whether it is forced (the op byte's
 // high bit), then its operands
 // (task shapes, batch size, victim id, new WCET) — from the same mix of
-// single admits, batches in both modes, removals and WCET updates on a
-// sorted-policy engine. After every op the engine must pass SelfCheck
-// and match the fresh sorted solve of the mirrored multiset.
+// single admits (a quarter of them head refusals), batches in both
+// modes, removals and WCET updates on a sorted-policy engine. Single ops
+// run through singleOp.apply, so their Summary calls and refusal
+// witnesses are checked too. After every op the engine must pass
+// SelfCheck and match the fresh sorted solve of the mirrored multiset.
 func FuzzEngineOps(f *testing.F) {
 	f.Add([]byte("\x00\x03\x40\x80\xc0\x00\x30\x20\x04\x02\x50\x10\x60\x08\x05\x09\x0a\x07\x0b\x03\x90"))
 	f.Add([]byte("\x02\x05\x10\x20\x30\x40\x50\x06\x03\x7f\x33\x22\x11\x01\x18\x81\x09\x00\x0b\x01\xff"))
+	// Head refusals on a feasible engine and on one holding the failure
+	// state a forced head admit leaves, a standing-failure admit past
+	// that position, then the removal that makes the set feasible again.
+	f.Add([]byte("\x00\x02\x40\x40\x40\x03\x10\x40\x87\x10\x40\x03\x20\x40\x00\x30\x08\x08\x01\x03\x11\x22"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -228,16 +357,13 @@ func FuzzEngineOps(f *testing.F) {
 		for op := 0; len(data) > 0 && op < 64; op++ {
 			b := next()
 			force := b >= 0x80 // for single admits, removals and WCET updates
-			admit, remove, update := e.Admit, e.Remove, e.UpdateWCET
-			if force {
-				admit, remove, update = e.ForceAdmit, e.ForceRemove, e.ForceUpdateWCET
-			}
 			switch k := b % 12; {
 			case k < 4:
 				tk := nextTask()
-				if _, ok, err := admit(tk); err != nil {
-					t.Fatal(err)
-				} else if ok || force {
+				if k == 3 {
+					tk.WCET = 5 * tk.Period // a head refusal (every speed is below 5)
+				}
+				if _, ok := (singleOp{kind: opAdmit, tk: tk, force: force}).apply(t, e, p, adm); ok || force {
 					cur = append(cur.Clone(), tk)
 				}
 			case k < 8:
@@ -262,17 +388,13 @@ func FuzzEngineOps(f *testing.F) {
 				cur = grown
 			case k < 10 && len(cur) > 1:
 				id := next() % len(cur)
-				if _, ok, err := remove(id); err != nil {
-					t.Fatal(err)
-				} else if ok || force {
+				if _, ok := (singleOp{kind: opDrop, id: id, force: force}).apply(t, e, p, adm); ok || force {
 					cur = append(cur[:id:id].Clone(), cur[id+1:]...)
 				}
 			default:
 				id := next() % len(cur)
 				wcet := 1 + int64(next())*cur[id].Period/256
-				if _, ok, err := update(id, wcet); err != nil {
-					t.Fatal(err)
-				} else if ok || force {
+				if _, ok := (singleOp{kind: opWCET, id: id, wcet: wcet, force: force}).apply(t, e, p, adm); ok || force {
 					cur = cur.Clone()
 					cur[id].WCET = wcet
 				}

@@ -125,14 +125,18 @@ type TestResponse struct {
 	// FailedTask is the input index of the paper's τ_n on rejection, -1 on
 	// acceptance.
 	FailedTask int `json:"failed_task"`
+
+	// loads, when set, is the loads array's JSON text, formatted by a
+	// session under its lock (session.loadsText) in place of Loads.
+	loads *[]byte
 }
 
 // TestResponseFrom builds the wire response for a library Report. The
 // slices are deep-copied, so the response stays valid after the Report's
-// backing session engine answers its next query; that copy is what lets
-// a session read (GET, /test) release s.mu before WriteJSON encodes the
-// response. It costs O(n) in the assignment, which is why the mutation
-// responses carry a TestSummary instead.
+// backing engine answers its next query. A session read at the session
+// alpha (GET, /test) builds its response with session.current instead,
+// which copies the assignment but formats the loads through the
+// session's memo.
 func TestResponseFrom(rep partfeas.Report) TestResponse {
 	resp := TestResponse{
 		Accepted:   rep.Accepted,
@@ -151,24 +155,19 @@ func TestResponseFrom(rep partfeas.Report) TestResponse {
 // tasks the session holds. The full placement stays on GET
 // /v1/sessions/{id} and POST /v1/sessions/{id}/test; the mutation
 // response names only where its own task went (machine / machines).
+//
+// A session builds it under its lock (session.summary), formatting the
+// loads there through its load memo into pooled memory that WriteJSON
+// releases, so the summary outlives the engine's next op without a copy
+// of the loads.
 type TestSummary struct {
 	Accepted   bool      `json:"accepted"`
 	Scheduler  string    `json:"scheduler"`
 	Alpha      float64   `json:"alpha"`
 	Loads      []float64 `json:"loads"`
 	FailedTask int       `json:"failed_task"`
-}
 
-// summaryFrom builds a mutation's test block; like TestResponseFrom it
-// copies the loads, so the summary outlives the engine's next op.
-func summaryFrom(rep partfeas.Report) TestSummary {
-	return TestSummary{
-		Accepted:   rep.Accepted,
-		Scheduler:  rep.Scheduler.String(),
-		Alpha:      rep.Alpha,
-		Loads:      append([]float64(nil), rep.Partition.Loads...),
-		FailedTask: rep.Partition.FailedTask,
-	}
+	loads *[]byte // as in TestResponse
 }
 
 // MinAlphaRequest asks for the smallest accepted augmentation.

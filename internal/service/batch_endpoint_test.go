@@ -193,7 +193,7 @@ func TestAdmissionMetricsMove(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := sess.addTask(context.Background(),
+			resp, err := sess.addTask(budget{ctx: context.Background()},
 				partfeas.Task{WCET: 1, Period: int64(500 + i)}, 0, false)
 			if err != nil {
 				t.Errorf("queued admit %d: %v", i, err)

@@ -364,6 +364,7 @@ func (d *durability) apply(op *oplog.Op) error {
 // httpErrors are deterministic rejections and propagate for the caller
 // to tolerate.
 func applySessionOp(ctx context.Context, s *session, op *oplog.Op) error {
+	b := budget{ctx: ctx}
 	var err error
 	switch op.Type {
 	case oplog.TypeAdmit:
@@ -371,7 +372,7 @@ func applySessionOp(ctx context.Context, s *session, op *oplog.Op) error {
 			return fmt.Errorf("op %d: admit with %d tasks", op.Index, len(op.Tasks))
 		}
 		t := op.Tasks[0]
-		_, err = s.addTask(ctx, partfeas.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}, t.Deadline, op.Force)
+		_, err = s.addTask(b, partfeas.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}, t.Deadline, op.Force)
 	case oplog.TypeAdmitBatch:
 		mode, merr := parseBatchMode(op.BatchMode)
 		if merr != nil {
@@ -383,11 +384,11 @@ func applySessionOp(ctx context.Context, s *session, op *oplog.Op) error {
 			ts[i] = partfeas.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
 			dls[i] = t.Deadline
 		}
-		_, err = s.addTaskBatch(ctx, ts, dls, mode)
+		_, err = s.addTaskBatch(b, ts, dls, mode)
 	case oplog.TypeRemove:
-		_, err = s.removeTask(ctx, op.Target)
+		_, err = s.removeTask(b, op.Target)
 	case oplog.TypeUpdateWCET:
-		_, err = s.updateWCET(ctx, op.Target, op.WCET, op.Force)
+		_, err = s.updateWCET(b, op.Target, op.WCET, op.Force)
 	case oplog.TypeRepartition:
 		_, err = s.repartition(ctx, op.Target, true)
 	default:

@@ -109,21 +109,21 @@ func durabilityScript() []scriptStep {
 			return err
 		}},
 		{"s1-admit", withSession("s-1", func(s *session) error {
-			_, err := s.addTask(ctx, partfeas.Task{Name: "ui", WCET: 2, Period: 12}, 0, false)
+			_, err := s.addTask(budget{ctx: ctx}, partfeas.Task{Name: "ui", WCET: 2, Period: 12}, 0, false)
 			return err
 		})},
 		{"s2-admit", withSession("s-2", func(s *session) error {
-			_, err := s.addTask(ctx, partfeas.Task{Name: "sensor", WCET: 1, Period: 20}, 0, false)
+			_, err := s.addTask(budget{ctx: ctx}, partfeas.Task{Name: "sensor", WCET: 1, Period: 20}, 0, false)
 			return err
 		})},
 		{"s1-batch-best-effort", withSession("s-1", func(s *session) error {
-			_, err := s.addTaskBatch(ctx,
+			_, err := s.addTaskBatch(budget{ctx: ctx},
 				[]partfeas.Task{{Name: "x1", WCET: 1, Period: 5}, {Name: "x2", WCET: 40, Period: 50}, {Name: "x3", WCET: 1, Period: 7}},
 				[]int64{0, 0, 0}, online.BestEffort)
 			return err
 		})},
 		{"s2-batch-all-or-nothing", withSession("s-2", func(s *session) error {
-			_, err := s.addTaskBatch(ctx,
+			_, err := s.addTaskBatch(budget{ctx: ctx},
 				[]partfeas.Task{{Name: "y1", WCET: 1, Period: 9}, {Name: "y2", WCET: 1, Period: 11}},
 				[]int64{0, 0}, online.AllOrNothing)
 			return err
@@ -138,19 +138,19 @@ func durabilityScript() []scriptStep {
 			return err
 		}},
 		{"s4-force-infeasible", withSession("s-4", func(s *session) error {
-			_, err := s.addTask(ctx, partfeas.Task{Name: "hog", WCET: 100, Period: 10}, 0, true)
+			_, err := s.addTask(budget{ctx: ctx}, partfeas.Task{Name: "hog", WCET: 100, Period: 10}, 0, true)
 			return err
 		})},
 		{"s4-wcet-recover", withSession("s-4", func(s *session) error {
-			_, err := s.updateWCET(ctx, 1, 1, false)
+			_, err := s.updateWCET(budget{ctx: ctx}, 1, 1, false)
 			return err
 		})},
 		{"s1-remove", withSession("s-1", func(s *session) error {
-			_, err := s.removeTask(ctx, 1)
+			_, err := s.removeTask(budget{ctx: ctx}, 1)
 			return err
 		})},
 		{"s3-admit-constrained", withSession("s-3", func(s *session) error {
-			_, err := s.addTask(ctx, partfeas.Task{Name: "cc", WCET: 1, Period: 6}, 5, false)
+			_, err := s.addTask(budget{ctx: ctx}, partfeas.Task{Name: "cc", WCET: 1, Period: 6}, 5, false)
 			return err
 		})},
 		{"s2-repartition-apply", withSession("s-2", func(s *session) error {
@@ -158,7 +158,7 @@ func durabilityScript() []scriptStep {
 			return err
 		})},
 		{"s1-wcet", withSession("s-1", func(s *session) error {
-			_, err := s.updateWCET(ctx, 0, 8, false)
+			_, err := s.updateWCET(budget{ctx: ctx}, 0, 8, false)
 			return err
 		})},
 		{"create-s5", func(srv *Server) error {
@@ -169,7 +169,7 @@ func durabilityScript() []scriptStep {
 			return srv.sessions.remove("s-5")
 		}},
 		{"s2-remove", withSession("s-2", func(s *session) error {
-			_, err := s.removeTask(ctx, 0)
+			_, err := s.removeTask(budget{ctx: ctx}, 0)
 			return err
 		})},
 		// A non-first-fit policy lane: the WAL records the canonical
@@ -180,7 +180,7 @@ func durabilityScript() []scriptStep {
 			return err
 		}},
 		{"s6-admit", withSession("s-6", func(s *session) error {
-			_, err := s.addTask(ctx, partfeas.Task{Name: "bf", WCET: 2, Period: 9}, 0, false)
+			_, err := s.addTask(budget{ctx: ctx}, partfeas.Task{Name: "bf", WCET: 2, Period: 9}, 0, false)
 			return err
 		})},
 	}
@@ -247,7 +247,7 @@ func TestDurableRecoveryByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("recovered s-1: %v", err)
 			}
-			if _, err := s1.addTask(context.Background(), partfeas.Task{Name: "probe", WCET: 1, Period: 100}, 0, false); err != nil {
+			if _, err := s1.addTask(budget{ctx: context.Background()}, partfeas.Task{Name: "probe", WCET: 1, Period: 100}, 0, false); err != nil {
 				t.Errorf("admission on recovered session: %v", err)
 			}
 			rec.Crash()
@@ -393,9 +393,9 @@ func TestDestroyMutationWALOrdering(t *testing.T) {
 				for i := 0; ; i++ {
 					var err error
 					if i%2 == 0 {
-						_, err = s.addTask(ctx, partfeas.Task{Name: fmt.Sprintf("w%d-%d", w, i), WCET: 1, Period: 1000}, 0, false)
+						_, err = s.addTask(budget{ctx: ctx}, partfeas.Task{Name: fmt.Sprintf("w%d-%d", w, i), WCET: 1, Period: 1000}, 0, false)
 					} else {
-						_, err = s.updateWCET(ctx, 0, int64(1+i%2), false)
+						_, err = s.updateWCET(budget{ctx: ctx}, 0, int64(1+i%2), false)
 					}
 					if err == errSessionClosed {
 						return

@@ -165,11 +165,10 @@ func decode[T any](w http.ResponseWriter, r *http.Request, dst *T, limit int64) 
 	return nil
 }
 
-// requestCtx derives the per-request deadline: the request's own
-// timeout_ms when given, else the server default, both clamped to the
-// server maximum. The returned context descends from the client's, so a
-// dropped connection cancels in-flight work either way.
-func (s *Server) requestCtx(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
+// timeout is a request's time budget: its own timeout_ms when given,
+// else the server default, both clamped to the server maximum; 0 means
+// none.
+func (s *Server) timeout(timeoutMS int64) time.Duration {
 	d := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {
 		d = time.Duration(timeoutMS) * time.Millisecond
@@ -177,10 +176,28 @@ func (s *Server) requestCtx(r *http.Request, timeoutMS int64) (context.Context, 
 	if s.cfg.MaxTimeout > 0 && (d <= 0 || d > s.cfg.MaxTimeout) {
 		d = s.cfg.MaxTimeout
 	}
-	if d <= 0 {
-		return context.WithCancel(r.Context())
+	return max(d, 0)
+}
+
+// requestCtx derives the per-request deadline for work that watches a
+// context (a solve, a peer call). The returned context descends from the
+// client's, so a dropped connection cancels in-flight work either way.
+func (s *Server) requestCtx(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
+	if d := s.timeout(timeoutMS); d > 0 {
+		return context.WithTimeout(r.Context(), d)
 	}
-	return context.WithTimeout(r.Context(), d)
+	return context.WithCancel(r.Context())
+}
+
+// budget is requestCtx for a session route whose context only reaches
+// the session's guard: the same deadline, checked against the clock
+// instead of armed as a timer.
+func (s *Server) budget(r *http.Request, timeoutMS int64) budget {
+	b := budget{ctx: r.Context()}
+	if d := s.timeout(timeoutMS); d > 0 {
+		b.end = time.Now().Add(d)
+	}
+	return b
 }
 
 func (s *Server) handleTest(w http.ResponseWriter, r *http.Request) (any, int, error) {
@@ -286,8 +303,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) (an
 	if err != nil {
 		return nil, 0, badRequest("%v", err)
 	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
+	b := s.budget(r, req.TimeoutMS)
 	// X-Session-ID is the coordinator's pre-assigned id: the
 	// consistent-hash ring routes by id, so the id must exist before the
 	// session does. Direct clients normally omit it and get "s-<n>".
@@ -300,7 +316,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) (an
 	if err != nil {
 		return nil, 0, err
 	}
-	state, err := sess.state(ctx)
+	state, err := sess.state(b)
 	if err != nil {
 		_ = s.sessions.remove(sess.id)
 		return nil, 0, err
@@ -314,9 +330,7 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) (any, 
 	if err != nil {
 		return nil, 0, err
 	}
-	ctx, cancel := s.requestCtx(r, 0)
-	defer cancel()
-	state, err := sess.state(ctx)
+	state, err := sess.state(s.budget(r, 0))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -346,9 +360,16 @@ func (s *Server) handleSessionTest(w http.ResponseWriter, r *http.Request) (any,
 	if err != nil {
 		return nil, 0, err
 	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-	resp, err := sess.test(ctx, req.Alpha)
+	// Only an ad-hoc alpha runs a solve, which watches a context.
+	var b budget
+	if req.Alpha == 0 {
+		b = s.budget(r, req.TimeoutMS)
+	} else {
+		ctx, cancel := s.requestCtx(r, req.TimeoutMS)
+		defer cancel()
+		b = budget{ctx: ctx}
+	}
+	resp, err := sess.test(b, req.Alpha)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -368,9 +389,7 @@ func (s *Server) handleSessionAddTask(w http.ResponseWriter, r *http.Request) (a
 	if err != nil {
 		return nil, 0, err
 	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-	resp, err := sess.addTask(ctx, t, req.Task.Deadline, req.Force)
+	resp, err := sess.addTask(s.budget(r, req.TimeoutMS), t, req.Task.Deadline, req.Force)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -405,9 +424,7 @@ func (s *Server) handleSessionAdmitBatch(w http.ResponseWriter, r *http.Request)
 	if err != nil {
 		return nil, 0, err
 	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-	resp, err := sess.addTaskBatch(ctx, ts, dls, mode)
+	resp, err := sess.addTaskBatch(s.budget(r, req.TimeoutMS), ts, dls, mode)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -424,9 +441,7 @@ func (s *Server) handleSessionRemoveTask(w http.ResponseWriter, r *http.Request)
 	if err != nil {
 		return nil, 0, err
 	}
-	ctx, cancel := s.requestCtx(r, 0)
-	defer cancel()
-	resp, err := sess.removeTask(ctx, idx)
+	resp, err := sess.removeTask(s.budget(r, 0), idx)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -443,9 +458,7 @@ func (s *Server) handleSessionUpdateWCET(w http.ResponseWriter, r *http.Request)
 	if err != nil {
 		return nil, 0, err
 	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-	resp, err := sess.updateWCET(ctx, req.Index, req.WCET, req.Force)
+	resp, err := sess.updateWCET(s.budget(r, req.TimeoutMS), req.Index, req.WCET, req.Force)
 	if err != nil {
 		return nil, 0, err
 	}

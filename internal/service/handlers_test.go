@@ -289,6 +289,37 @@ func TestHandlerDeadlineExpiry(t *testing.T) {
 	}
 }
 
+// TestSessionBudgetExpiry pins the timer-free deadline of the session
+// routes that only check it (budget): an admit that waits on the
+// session lock past its timeout_ms answers exactly what the
+// context-deadline version answered, a 504 with the pipeline error, and
+// appends no WAL record.
+func TestSessionBudgetExpiry(t *testing.T) {
+	s := mustDurable(t, t.TempDir(), Config{FsyncInterval: -1, SnapshotEvery: -1})
+	if w := do(t, s, http.MethodPost, "/v1/sessions", `{"tasks":[{"wcet":1,"period":10}],"speeds":[1]}`); w.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", w.Code, w.Body)
+	}
+	sess, err := s.sessions.get("s-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	appends := s.dur.wal.Stats().Appends
+	sess.mu.Lock()
+	done := make(chan *httptest.ResponseRecorder)
+	go func() {
+		done <- do(t, s, http.MethodPost, "/v1/sessions/s-1/tasks", `{"task":{"wcet":1,"period":20},"timeout_ms":20}`)
+	}()
+	time.Sleep(80 * time.Millisecond)
+	sess.mu.Unlock()
+	w := <-done
+	if want := `{"error":"pipeline: analyze (Test): context deadline exceeded"}` + "\n"; w.Code != http.StatusGatewayTimeout || w.Body.String() != want {
+		t.Errorf("admit past its deadline: %d %q, want 504 %q", w.Code, w.Body, want)
+	}
+	if got := s.dur.wal.Stats().Appends; got != appends {
+		t.Errorf("timed-out admit moved WAL appends %d → %d", appends, got)
+	}
+}
+
 // TestHandlerClientGone pins the 499 path: the client's own context is
 // already cancelled, so the failure is recorded as client-closed, not as
 // a server timeout.

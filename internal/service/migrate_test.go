@@ -101,7 +101,7 @@ func migScript(seed int64, n int, constrained bool) []migOp {
 			}
 			name := fmt.Sprintf("t%d", i)
 			ops[i] = func(ctx context.Context, s *session) error {
-				_, err := s.addTask(ctx, partfeas.Task{Name: name, WCET: w, Period: p}, dl, false)
+				_, err := s.addTask(budget{ctx: ctx}, partfeas.Task{Name: name, WCET: w, Period: p}, dl, false)
 				return err
 			}
 		case k < 8: // remove a pseudo-random resident
@@ -113,7 +113,7 @@ func migScript(seed int64, n int, constrained bool) []migOp {
 				if n == 0 {
 					return nil
 				}
-				_, err := s.removeTask(ctx, pick%n)
+				_, err := s.removeTask(budget{ctx: ctx}, pick%n)
 				return err
 			}
 		case k < 9: // WCET update on a pseudo-random resident
@@ -125,7 +125,7 @@ func migScript(seed int64, n int, constrained bool) []migOp {
 				if n == 0 {
 					return nil
 				}
-				_, err := s.updateWCET(ctx, pick%n, w, false)
+				_, err := s.updateWCET(budget{ctx: ctx}, pick%n, w, false)
 				return err
 			}
 		default: // repartition (implicit only; constrained refuses it)
@@ -134,7 +134,7 @@ func migScript(seed int64, n int, constrained bool) []migOp {
 				p := w * int64(4+rng.Intn(10))
 				name := fmt.Sprintf("r%d", i)
 				ops[i] = func(ctx context.Context, s *session) error {
-					_, err := s.addTask(ctx, partfeas.Task{Name: name, WCET: w, Period: p}, p, false)
+					_, err := s.addTask(budget{ctx: ctx}, partfeas.Task{Name: name, WCET: w, Period: p}, p, false)
 					return err
 				}
 			} else {
@@ -291,7 +291,7 @@ func TestMigrationFenceStaleOwner(t *testing.T) {
 		Site: faultinject.SiteMigrateCutover,
 		OnFire: func() {
 			fired = true
-			_, fenceErr = sess.addTask(context.Background(), partfeas.Task{Name: "late", WCET: 1, Period: 50}, 0, false)
+			_, fenceErr = sess.addTask(budget{ctx: context.Background()}, partfeas.Task{Name: "late", WCET: 1, Period: 50}, 0, false)
 		},
 	})
 	_, err := src.migrateTo(context.Background(), "f-1", dstURL)
@@ -320,7 +320,7 @@ func TestMigrationFenceStaleOwner(t *testing.T) {
 
 	// And the stale source can never acknowledge again: the old handle is
 	// closed, the store redirects.
-	if _, err := sess.addTask(context.Background(), partfeas.Task{Name: "later", WCET: 1, Period: 50}, 0, false); err == nil {
+	if _, err := sess.addTask(budget{ctx: context.Background()}, partfeas.Task{Name: "later", WCET: 1, Period: 50}, 0, false); err == nil {
 		t.Fatal("stale owner acknowledged a post-migration mutation")
 	}
 	if err := src.sessions.remove("f-1"); err == nil {
@@ -409,7 +409,7 @@ func TestMigrationCrashMatrix(t *testing.T) {
 				if gerr != nil {
 					t.Fatalf("session gone after pre-cutover fault: %v", gerr)
 				}
-				if _, aerr := s.addTask(context.Background(), partfeas.Task{Name: "post", WCET: 1, Period: 40}, 0, false); aerr != nil {
+				if _, aerr := s.addTask(budget{ctx: context.Background()}, partfeas.Task{Name: "post", WCET: 1, Period: 40}, 0, false); aerr != nil {
 					t.Fatalf("session not mutable after aborted migration: %v", aerr)
 				}
 			case faultinject.SiteMigrateStream, faultinject.SiteMigrateReplay:

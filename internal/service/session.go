@@ -82,6 +82,10 @@ type session struct {
 	// infeasible set, so it is always armed, and force commits and
 	// repartition are refused.
 	constrained bool
+
+	// memo caches the committed loads' text for the responses that carry
+	// them (see loadMemo): a cache, not state, so no record carries it.
+	memo loadMemo
 }
 
 // sessionStore owns the id → session map.
@@ -370,10 +374,8 @@ func (s *session) guard() error {
 // plus, while an outbound migration is capturing, the tail record that
 // will be streamed to the new owner. Caller holds s.mu, which is what
 // makes "tail = exactly the acknowledged ops after the snapshot" exact.
+// Callers build the record only when logging reports it is kept.
 func (s *session) logOp(op *oplog.Op) error {
-	if s.noLog {
-		return nil // staged inbound replay: the MigrateIn record carries the state
-	}
 	if err := s.dur.logOp(op); err != nil {
 		return err
 	}
@@ -381,6 +383,14 @@ func (s *session) logOp(op *oplog.Op) error {
 		s.tail = append(s.tail, op)
 	}
 	return nil
+}
+
+// logging reports whether logOp keeps a record: there is a WAL or an
+// outbound migration is capturing, and this is not a staged inbound
+// replay (whose MigrateIn record carries the state). A server without a
+// data directory so builds no record per op.
+func (s *session) logging() bool {
+	return !s.noLog && (s.dur != nil || s.migrating)
 }
 
 // engineOptions are the session's engine options; dls is nil for an
@@ -453,40 +463,98 @@ func (s *session) committed(ok bool) error {
 // *pipeline.Error shape, so clients cannot tell which path answered.
 func ctxGuard(ctx context.Context) error {
 	if cerr := ctx.Err(); cerr != nil {
-		return pipeline.New(pipeline.StageAnalyze, "Test", cerr)
+		return canceled(cerr)
 	}
 	return nil
 }
 
-// engReport wraps an engine partition result as the library Report the
-// wire layer encodes.
-func (s *session) engReport(res partition.Result) partfeas.Report {
-	return partfeas.Report{
-		Accepted:  res.Feasible,
-		Scheduler: s.in.Scheduler,
-		Alpha:     res.Alpha,
-		Partition: res,
-	}
+func canceled(cause error) error {
+	return pipeline.New(pipeline.StageAnalyze, "Test", cause)
 }
 
-// currentReport answers "test the resident set at the session alpha"
-// from the engine, whose state is the fresh solve's, feasible or not.
-func (s *session) currentReport(ctx context.Context) (partfeas.Report, error) {
-	if err := ctxGuard(ctx); err != nil {
-		return partfeas.Report{}, err
+// budget is a session op's cancellation check without a timer: the
+// request's context, whose Err reports a client that went away, and the
+// instant the request's time budget runs out (zero: none). The session
+// routes whose context would only reach the guard — create, GET, /test
+// at the session alpha, admit, admit-batch, remove and WCET update — pass
+// a budget (Server.budget) instead of arming a context.WithTimeout per
+// request. Routes that run a
+// solve or a peer call keep requestCtx, whose Done channel the solve
+// watches; they pass budget{ctx: ctx}.
+type budget struct {
+	ctx context.Context
+	end time.Time
+}
+
+// guard is ctxGuard for a budget: the error a context cancelled or
+// timed out at the same instant would give.
+func (b budget) guard() error {
+	if err := ctxGuard(b.ctx); err != nil {
+		return err
 	}
-	return s.engReport(s.eng.Result()), nil
+	if !b.end.IsZero() && !time.Now().Before(b.end) {
+		return canceled(context.DeadlineExceeded)
+	}
+	return nil
+}
+
+// loadsText formats loads as a JSON array under s.mu into a pooled
+// buffer, which WriteJSON returns to the pool once it has written the
+// response, so the text outlives the engine's next op without a copy of
+// the loads. It goes through the load memo, which it updates only when
+// committed says the loads are the session's committed state. A
+// non-finite load gets no text but a copy of the loads instead, so the
+// response takes WriteJSON's encoding/json fallback as it always did.
+func (s *session) loadsText(loads []float64, committed bool) (*[]byte, []float64) {
+	bp := bodyPool.Get().(*[]byte)
+	b, ok := s.memo.appendLoads((*bp)[:0], loads, committed)
+	*bp = b
+	if !ok {
+		putBody(bp)
+		return nil, slices.Clone(loads)
+	}
+	return bp, nil
+}
+
+// summary is a mutation's test block over an engine answer; committed
+// says whether the answer describes the session's committed state (see
+// loadsText).
+func (s *session) summary(feasible bool, failed int, loads []float64, committed bool) TestSummary {
+	sum := TestSummary{
+		Accepted:   feasible,
+		Scheduler:  s.in.Scheduler.String(),
+		Alpha:      s.eng.Alpha(),
+		FailedTask: failed,
+	}
+	sum.loads, sum.Loads = s.loadsText(loads, committed)
+	return sum
+}
+
+// current is the test response for the resident set at the session
+// alpha, answered from the engine, whose state is the fresh solve's,
+// feasible or not. The assignment is copied; the loads go through the
+// memo. Caller holds s.mu.
+func (s *session) current() TestResponse {
+	res := s.eng.Result()
+	tr := TestResponse{
+		Accepted:   res.Feasible,
+		Scheduler:  s.in.Scheduler.String(),
+		Alpha:      res.Alpha,
+		Assignment: slices.Clone(res.Assignment),
+		FailedTask: res.FailedTask,
+	}
+	tr.loads, tr.Loads = s.loadsText(res.Loads, true)
+	return tr
 }
 
 // state snapshots the session and re-tests it at its alpha.
-func (s *session) state(ctx context.Context) (SessionResponse, error) {
+func (s *session) state(b budget) (SessionResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return SessionResponse{}, errSessionClosed
 	}
-	rep, err := s.currentReport(ctx)
-	if err != nil {
+	if err := b.guard(); err != nil {
 		return SessionResponse{}, err
 	}
 	resp := SessionResponse{
@@ -496,7 +564,7 @@ func (s *session) state(ctx context.Context) (SessionResponse, error) {
 		Placement: s.placement.Name(),
 		Tasks:     make([]TaskJSON, len(s.in.Tasks)),
 		Machines:  make([]MachineJSON, len(s.in.Platform)),
-		Test:      TestResponseFrom(rep),
+		Test:      s.current(),
 	}
 	if s.constrained {
 		resp.DeadlineModel = "constrained"
@@ -515,9 +583,9 @@ func (s *session) state(ctx context.Context) (SessionResponse, error) {
 
 // test re-tests the current set; alpha 0 keeps the session augmentation.
 // Ad-hoc alphas always run a fresh solve (the engine's state is only
-// valid at the session alpha): the batch sorted test, or for constrained
-// sets the exact constrained first-fit.
-func (s *session) test(ctx context.Context, alpha float64) (TestResponse, error) {
+// valid at the session alpha), watching b.ctx: the batch sorted test, or
+// for constrained sets the exact constrained first-fit.
+func (s *session) test(b budget, alpha float64) (TestResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -527,13 +595,16 @@ func (s *session) test(ctx context.Context, alpha float64) (TestResponse, error)
 	var err error
 	switch {
 	case alpha == 0 || alpha == s.alpha:
-		rep, err = s.currentReport(ctx)
+		if err := b.guard(); err != nil {
+			return TestResponse{}, err
+		}
+		return s.current(), nil
 	case s.constrained:
-		if err = ctxGuard(ctx); err == nil {
+		if err = b.guard(); err == nil {
 			rep, err = s.freshConstrainedReport(alpha)
 		}
 	default:
-		rep, err = partfeas.TestCtx(ctx, s.in, alpha)
+		rep, err = partfeas.TestCtx(b.ctx, s.in, alpha)
 	}
 	if err != nil {
 		return TestResponse{}, err
@@ -545,7 +616,13 @@ func (s *session) test(ctx context.Context, alpha float64) (TestResponse, error)
 // (or force). A force-committed rejection leaves the session disarmed
 // until its set is feasible again. The op is acknowledged (logged)
 // before any state changes, so a durable admit is all-or-nothing.
-func (s *session) addTask(ctx context.Context, t partfeas.Task, dl int64, force bool) (AdmissionResponse, error) {
+//
+// Single-task ops call the engine's Summary entry points (AdmitSummary,
+// RemoveSummary, UpdateWCETSummary): a response reads the verdict, the
+// failed task, the m loads and the op task's machine, so a refusal
+// builds no n-entry witness assignment, and a sorted engine refuses an
+// admission no machine takes in O(m log n) without inserting it.
+func (s *session) addTask(b budget, t partfeas.Task, dl int64, force bool) (AdmissionResponse, error) {
 	defer s.dur.rlock()()
 	if err := s.checkDeadlineArg(dl, t.Period, force); err != nil {
 		return AdmissionResponse{}, err
@@ -555,35 +632,30 @@ func (s *session) addTask(ctx context.Context, t partfeas.Task, dl int64, force 
 	if err := s.guard(); err != nil {
 		return AdmissionResponse{}, err
 	}
-	if err := ctxGuard(ctx); err != nil {
+	if err := b.guard(); err != nil {
 		return AdmissionResponse{}, err
 	}
-	if err := s.logOp(&oplog.Op{
-		Type: oplog.TypeAdmit, Session: s.id, Force: force,
-		Tasks: []oplog.Task{{Name: t.Name, WCET: t.WCET, Period: t.Period, Deadline: dl}},
-	}); err != nil {
-		return AdmissionResponse{}, err
+	if s.logging() {
+		if err := s.logOp(&oplog.Op{
+			Type: oplog.TypeAdmit, Session: s.id, Force: force,
+			Tasks: []oplog.Task{{Name: t.Name, WCET: t.WCET, Period: t.Period, Deadline: dl}},
+		}); err != nil {
+			return AdmissionResponse{}, err
+		}
 	}
 	start := time.Now()
-	var res partition.Result
-	var admitted bool
-	var err error
-	if force && s.holds() {
-		res, admitted, err = s.eng.ForceAdmit(t)
-	} else {
-		res, admitted, err = s.eng.AdmitConstrained(constrainedTask(t, dl))
-	}
+	forced := force && s.holds()
+	sum, err := s.eng.AdmitSummary(constrainedTask(t, dl), forced)
 	if err != nil {
 		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
 	}
 	s.observeAdmission(start)
-	// t's index in the tentative set and, committed, in the resident one.
-	resp := admissionFor(s.engReport(res), len(s.in.Tasks))
-	resp.Admitted = admitted || force
+	resp := s.admission(sum, sum.Feasible || forced)
+	resp.Admitted = sum.Feasible || force
 	resp.RolledBack = !resp.Admitted
 	if resp.Admitted {
 		s.in.Tasks = append(s.in.Tasks, t)
-		if err := s.committed(admitted); err != nil {
+		if err := s.committed(sum.Feasible); err != nil {
 			return AdmissionResponse{}, err
 		}
 	}
@@ -591,19 +663,19 @@ func (s *session) addTask(ctx context.Context, t partfeas.Task, dl int64, force 
 	return resp, nil
 }
 
-// admissionFor answers an admit or a WCET update from rep: its summary
-// plus the op task's entry, at index task, in rep's assignment. Both are
-// O(m) to build and copy nothing of rep that the engine's next op could
-// overwrite.
-func admissionFor(rep partfeas.Report, task int) AdmissionResponse {
-	m := machineOf(rep, task)
-	return AdmissionResponse{Machine: &m, Test: summaryFrom(rep)}
+// admission answers an admit or a WCET update from the engine's summary:
+// its test block plus the op task's machine. committed says whether the
+// engine holds the state sum describes (an accepted or forced op), not a
+// refusal's witness.
+func (s *session) admission(sum online.Summary, committed bool) AdmissionResponse {
+	m := sum.Machine
+	return AdmissionResponse{Machine: &m, Test: s.summary(sum.Feasible, sum.FailedTask, sum.Loads, committed)}
 }
 
-// machineOf is task i's entry in rep's assignment: its machine index, or
-// -1 when rep leaves it unplaced or does not cover it.
-func machineOf(rep partfeas.Report, i int) int {
-	if as := rep.Partition.Assignment; i >= 0 && i < len(as) {
+// machineOf is task i's entry in res's assignment: its machine index, or
+// -1 when res leaves it unplaced or does not cover it.
+func machineOf(res partition.Result, i int) int {
+	if as := res.Assignment; i >= 0 && i < len(as) {
 		return as[i]
 	}
 	return -1
@@ -647,7 +719,7 @@ func (s *session) observeTier(d time.Duration) {
 // single admits, so it re-arms at the first task that makes its sorted
 // set feasible; the armed engine then takes the rest as one batch, and
 // the answer is its final state.
-func (s *session) addTaskBatch(ctx context.Context, ts []partfeas.Task, dls []int64, mode online.BatchMode) (BatchAdmissionResponse, error) {
+func (s *session) addTaskBatch(b budget, ts []partfeas.Task, dls []int64, mode online.BatchMode) (BatchAdmissionResponse, error) {
 	defer s.dur.rlock()()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -659,33 +731,34 @@ func (s *session) addTaskBatch(ctx context.Context, ts []partfeas.Task, dls []in
 			return BatchAdmissionResponse{}, err
 		}
 	}
-	if len(ts) == 0 {
-		rep, err := s.currentReport(ctx)
-		if err != nil {
-			return BatchAdmissionResponse{}, err
-		}
-		return s.batchResponse(mode, []bool{}, rep), nil
-	}
-	if err := ctxGuard(ctx); err != nil {
+	if err := b.guard(); err != nil {
 		return BatchAdmissionResponse{}, err
 	}
-	op := &oplog.Op{
-		Type: oplog.TypeAdmitBatch, Session: s.id,
-		BatchMode: mode.String(),
-		Tasks:     make([]oplog.Task, len(ts)),
+	if len(ts) == 0 {
+		return s.batchResponse(mode, []bool{}, s.eng.Result(), true), nil
 	}
 	cs := make(dbf.Set, len(ts))
 	for i, t := range ts {
-		op.Tasks[i] = oplog.Task{Name: t.Name, WCET: t.WCET, Period: t.Period, Deadline: deadlineAt(dls, i)}
 		cs[i] = constrainedTask(t, deadlineAt(dls, i))
 	}
-	if err := s.logOp(op); err != nil {
-		return BatchAdmissionResponse{}, err
+	if s.logging() {
+		op := &oplog.Op{
+			Type: oplog.TypeAdmitBatch, Session: s.id,
+			BatchMode: mode.String(),
+			Tasks:     make([]oplog.Task, len(ts)),
+		}
+		for i, t := range ts {
+			op.Tasks[i] = oplog.Task{Name: t.Name, WCET: t.WCET, Period: t.Period, Deadline: deadlineAt(dls, i)}
+		}
+		if err := s.logOp(op); err != nil {
+			return BatchAdmissionResponse{}, err
+		}
 	}
 	start := time.Now()
 	stepwise := !s.armed() && mode == online.BestEffort
 	admitted := make([]bool, 0, len(ts))
 	var res partition.Result
+	committed := false // res is the engine's state, not a refusal's witness
 	for i := 0; i < len(ts); {
 		n := len(ts) - i
 		if stepwise && !s.armed() {
@@ -696,20 +769,21 @@ func (s *session) addTaskBatch(ctx context.Context, ts []partfeas.Task, dls []in
 			return BatchAdmissionResponse{}, err
 		}
 		admitted = append(admitted, part...)
-		if slices.Contains(part, true) {
+		committed = slices.Contains(part, true)
+		if committed {
 			s.armEngine()
 		}
 		res, i = r, i+n
 	}
 	if stepwise && s.armed() {
-		res = s.eng.Result()
+		res, committed = s.eng.Result(), true
 	}
 	if s.mx != nil {
 		d := time.Since(start)
 		s.mx.AdmissionObserved(PathBatch, d)
 		s.observeTier(d)
 	}
-	return s.batchResponse(mode, admitted, s.engReport(res)), nil
+	return s.batchResponse(mode, admitted, res, committed), nil
 }
 
 // engineBatch runs ts, in engine form cs, through the engine as one
@@ -730,10 +804,11 @@ func (s *session) engineBatch(ts []partfeas.Task, cs dbf.Set, mode online.BatchM
 // batchResponse answers a batch over the session's committed set. The
 // admitted tasks were appended in input order, so they are the last
 // NAdmitted resident tasks, and each one's machine is its entry at that
-// index in rep: rep covers the committed set whenever anything was
+// index in res: res covers the committed set whenever anything was
 // admitted (a disarmed best-effort batch's last witness covers it plus
-// one rejected candidate).
-func (s *session) batchResponse(mode online.BatchMode, admitted []bool, rep partfeas.Report) BatchAdmissionResponse {
+// one rejected candidate). committed says whether res is the engine's
+// state (see loadsText).
+func (s *session) batchResponse(mode online.BatchMode, admitted []bool, res partition.Result, committed bool) BatchAdmissionResponse {
 	n := 0
 	for _, ok := range admitted {
 		if ok {
@@ -745,7 +820,7 @@ func (s *session) batchResponse(mode online.BatchMode, admitted []bool, rep part
 	for i, ok := range admitted {
 		machines[i] = -1
 		if ok {
-			machines[i] = machineOf(rep, next)
+			machines[i] = machineOf(res, next)
 			next++
 		}
 	}
@@ -755,7 +830,7 @@ func (s *session) batchResponse(mode online.BatchMode, admitted []bool, rep part
 		Machines:  machines,
 		NAdmitted: n,
 		NTasks:    len(s.in.Tasks),
-		Test:      summaryFrom(rep),
+		Test:      s.summary(res.Feasible, res.FailedTask, res.Loads, committed),
 	}
 }
 
@@ -774,7 +849,7 @@ func deadlineAt(dls []int64, i int) int64 {
 // infeasible — an implicit session still commits it, and its sorted
 // engine holds the failure state; a constrained one keeps the task
 // resident and answers with the rejection witness.
-func (s *session) removeTask(ctx context.Context, idx int) (AdmissionResponse, error) {
+func (s *session) removeTask(b budget, idx int) (AdmissionResponse, error) {
 	defer s.dur.rlock()()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -787,21 +862,21 @@ func (s *session) removeTask(ctx context.Context, idx int) (AdmissionResponse, e
 	if len(s.in.Tasks) == 1 {
 		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: "cannot remove the last task; delete the session instead"}
 	}
-	if err := ctxGuard(ctx); err != nil {
+	if err := b.guard(); err != nil {
 		return AdmissionResponse{}, err
 	}
-	if err := s.logOp(&oplog.Op{Type: oplog.TypeRemove, Session: s.id, Target: idx}); err != nil {
-		return AdmissionResponse{}, err
+	if s.logging() {
+		if err := s.logOp(&oplog.Op{Type: oplog.TypeRemove, Session: s.id, Target: idx}); err != nil {
+			return AdmissionResponse{}, err
+		}
 	}
-	forced, remove := s.holds(), s.eng.Remove
-	if forced {
-		remove = s.eng.ForceRemove
-	}
-	res, ok, err := remove(idx)
+	forced := s.holds()
+	sum, err := s.eng.RemoveSummary(idx, forced)
 	if err != nil {
 		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
 	}
-	resp := AdmissionResponse{Admitted: ok, RolledBack: !(ok || forced), Test: summaryFrom(s.engReport(res))}
+	ok := sum.Feasible
+	resp := AdmissionResponse{Admitted: ok, RolledBack: !(ok || forced), Test: s.summary(ok, sum.FailedTask, sum.Loads, ok || forced)}
 	if !resp.RolledBack {
 		// The engine holds its own copy of the tasks, so the session's
 		// slice is deleted from in place.
@@ -818,7 +893,7 @@ func (s *session) removeTask(ctx context.Context, idx int) (AdmissionResponse, e
 // path, rolling back when the re-test rejects and force is unset. The
 // new WCET is vetted before the op is logged, so a malformed one leaves
 // no record.
-func (s *session) updateWCET(ctx context.Context, idx int, wcet int64, force bool) (AdmissionResponse, error) {
+func (s *session) updateWCET(b budget, idx int, wcet int64, force bool) (AdmissionResponse, error) {
 	defer s.dur.rlock()()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -837,26 +912,25 @@ func (s *session) updateWCET(ctx context.Context, idx int, wcet int64, force boo
 	if s.constrained && wcet > s.eng.Deadline(idx) {
 		return AdmissionResponse{}, badRequest("task %d: wcet %d exceeds its deadline %d", idx, wcet, s.eng.Deadline(idx))
 	}
-	if err := ctxGuard(ctx); err != nil {
+	if err := b.guard(); err != nil {
 		return AdmissionResponse{}, err
 	}
-	if err := s.logOp(&oplog.Op{Type: oplog.TypeUpdateWCET, Session: s.id, Target: idx, WCET: wcet, Force: force}); err != nil {
-		return AdmissionResponse{}, err
+	if s.logging() {
+		if err := s.logOp(&oplog.Op{Type: oplog.TypeUpdateWCET, Session: s.id, Target: idx, WCET: wcet, Force: force}); err != nil {
+			return AdmissionResponse{}, err
+		}
 	}
-	update := s.eng.UpdateWCET
-	if force && s.holds() {
-		update = s.eng.ForceUpdateWCET
-	}
-	res, ok, err := update(idx, wcet)
+	forced := force && s.holds()
+	sum, err := s.eng.UpdateWCETSummary(idx, wcet, forced)
 	if err != nil {
 		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
 	}
-	resp := admissionFor(s.engReport(res), idx)
-	resp.Admitted = ok || force
+	resp := s.admission(sum, sum.Feasible || forced)
+	resp.Admitted = sum.Feasible || force
 	resp.RolledBack = !resp.Admitted
 	if resp.Admitted {
 		s.in.Tasks[idx].WCET = wcet
-		if err := s.committed(ok); err != nil {
+		if err := s.committed(sum.Feasible); err != nil {
 			return AdmissionResponse{}, err
 		}
 	}
@@ -888,7 +962,7 @@ func (s *session) repartition(ctx context.Context, maxMoves int, apply bool) (Re
 	if err := ctxGuard(ctx); err != nil {
 		return RepartitionResponse{}, err
 	}
-	if apply {
+	if apply && s.logging() {
 		// Logged before planning: re-planning over the identical engine
 		// state is deterministic, so replay re-derives the same moves.
 		if err := s.logOp(&oplog.Op{Type: oplog.TypeRepartition, Session: s.id, Target: maxMoves}); err != nil {
@@ -920,10 +994,12 @@ func (s *session) repartition(ctx context.Context, maxMoves int, apply bool) (Re
 		resp.Applied = applied
 		resp.Partial = applied < len(pl.Moves)
 	}
-	rep, err := s.currentReport(ctx)
-	if err != nil {
+	if err := ctxGuard(ctx); err != nil {
 		return RepartitionResponse{}, err
 	}
-	resp.Test = TestResponseFrom(rep)
+	// RepartitionResponse encodes through encoding/json, so its test
+	// block carries the loads, not a session's text.
+	res := s.eng.Result()
+	resp.Test = TestResponseFrom(partfeas.Report{Accepted: res.Feasible, Scheduler: s.in.Scheduler, Alpha: res.Alpha, Partition: res})
 	return resp, nil
 }

@@ -22,7 +22,11 @@ import (
 // escaping (anything else goes through json.Marshal for that string).
 // The bool is false when a float is NaN or ±Inf, which encoding/json
 // refuses; WriteJSON then falls back to encoding/json so the outcome
-// stays what it always was.
+// stays what it always was. A test block whose loads a session formatted
+// under its lock carries that text instead of the floats (loadMemo); the
+// session formats them only when every load is finite, and every other
+// float of a session response is validated finite, so such a block
+// never takes the fallback.
 
 func (r TestResponse) appendJSON(b []byte) ([]byte, bool) {
 	b = append(b, `{"accepted":`...)
@@ -34,7 +38,7 @@ func (r TestResponse) appendJSON(b []byte) ([]byte, bool) {
 	b = append(b, `,"assignment":`...)
 	b = appendInts(b, r.Assignment)
 	b = append(b, `,"loads":`...)
-	b, lok := appendFloats(b, r.Loads)
+	b, lok := appendLoads(b, r.Loads, r.loads)
 	b = append(b, `,"failed_task":`...)
 	b = strconv.AppendInt(b, int64(r.FailedTask), 10)
 	return append(b, '}'), ok && lok
@@ -48,7 +52,7 @@ func (r TestSummary) appendJSON(b []byte) ([]byte, bool) {
 	b = append(b, `,"alpha":`...)
 	b, ok := appendFloat(b, r.Alpha)
 	b = append(b, `,"loads":`...)
-	b, lok := appendFloats(b, r.Loads)
+	b, lok := appendLoads(b, r.Loads, r.loads)
 	b = append(b, `,"failed_task":`...)
 	b = strconv.AppendInt(b, int64(r.FailedTask), 10)
 	return append(b, '}'), ok && lok
@@ -211,6 +215,65 @@ func appendFloats(b []byte, vs []float64) ([]byte, bool) {
 	return append(b, ']'), ok
 }
 
+// appendLoads writes a test block's loads: the text a session formatted
+// under its lock when there is one, else the floats.
+func appendLoads(b []byte, vs []float64, text *[]byte) ([]byte, bool) {
+	if text != nil {
+		return append(b, *text...), true
+	}
+	return appendFloats(b, vs)
+}
+
+// loadMemo is a session's per-machine memo of formatted loads: for each
+// machine, the float64 bits of the last committed load the session
+// formatted and that load's appendFloat text. A tail admit or remove
+// changes one machine's load, so its response copies m−1 texts and
+// formats one float instead of m.
+//
+// It is a cache, not state. It never enters the WAL, snapshots or
+// migration records, so restored and migrated sessions start cold. It
+// is keyed by bits, not value, so −0 keeps encoding as "-0". Only the
+// loads of the committed state update it: a refusal's witness loads, the
+// prefix folds at the failure point, are formatted past it, or a head
+// refusal's all-zero witness would evict every entry.
+type loadMemo []loadText
+
+type loadText struct {
+	bits uint64
+	n    uint8 // text length; 0 while cold
+	b    [25]byte
+}
+
+// appendLoads appends loads as a JSON array, copying the memo's text for
+// every load whose bits match its entry and formatting the rest; commit
+// stores what it formats. ok is false when a load is NaN or ±Inf.
+func (m *loadMemo) appendLoads(b []byte, loads []float64, commit bool) ([]byte, bool) {
+	if commit && len(*m) != len(loads) {
+		*m = make(loadMemo, len(loads))
+	}
+	memo := *m
+	b = append(b, '[')
+	for j, f := range loads {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		bits := math.Float64bits(f)
+		if j < len(memo) && memo[j].n > 0 && memo[j].bits == bits {
+			b = append(b, memo[j].b[:memo[j].n]...)
+			continue
+		}
+		start := len(b)
+		var ok bool
+		if b, ok = appendFloat(b, f); !ok {
+			return b, false
+		}
+		if commit && len(b)-start <= len(memo[j].b) {
+			memo[j].bits, memo[j].n = bits, uint8(copy(memo[j].b[:], b[start:]))
+		}
+	}
+	return append(b, ']'), true
+}
+
 // appendDurability writes the omitempty durability field the three
 // mutation and state responses end with.
 func appendDurability(b []byte, d string) []byte {
@@ -282,15 +345,23 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	bp := bodyPool.Get().(*[]byte)
 	b := (*bp)[:0]
 	var ok bool
+	var loads *[]byte // a session's loads text, released once written
 	switch r := v.(type) {
 	case TestResponse:
 		b, ok = r.appendJSON(b)
+		loads = r.loads
 	case AdmissionResponse:
 		b, ok = r.appendJSON(b)
+		loads = r.Test.loads
 	case BatchAdmissionResponse:
 		b, ok = r.appendJSON(b)
+		loads = r.Test.loads
 	case SessionResponse:
 		b, ok = r.appendJSON(b)
+		loads = r.Test.loads
+	}
+	if loads != nil {
+		putBody(loads)
 	}
 	if ok {
 		b = append(b, '\n')
@@ -304,8 +375,14 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_, _ = w.Write(b)
-	if cap(b) <= maxPooledBody {
-		*bp = b
+	*bp = b
+	putBody(bp)
+}
+
+// putBody returns a buffer to bodyPool unless it grew past
+// maxPooledBody.
+func putBody(bp *[]byte) {
+	if cap(*bp) <= maxPooledBody {
 		bodyPool.Put(bp)
 	}
 }

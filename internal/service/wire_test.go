@@ -418,13 +418,49 @@ func (d *discard) Write(b []byte) (int, error) { return len(b), nil }
 // garbage: a tail admit → remove cycle through the handler must allocate
 // no more on an n = 10,000 sorted session than twice what it allocates on
 // an n = 100 one. The mutation responses carry no assignment, so nothing
-// in the cycle should grow with the task count.
+// in the cycle should grow with the task count. A rejected admit is held
+// to the same bound, and to 4 KB at n = 1,000: the engine refuses it
+// without a witness assignment (online.Engine.AdmitSummary).
 func TestAdmitRemoveAllocs(t *testing.T) {
 	small, large := admitRemoveBytes(t, 100), admitRemoveBytes(t, 10000)
 	t.Logf("admit→remove: %d B/cycle at n=100, %d B/cycle at n=10000 (bound %d)", small, large, 2*small)
 	if large > 2*small {
 		t.Fatalf("admit→remove allocates %d B per cycle at n=10000, want ≤ %d (twice the n=100 cycle)", large, 2*small)
 	}
+	r100, r1000, r10000 := rejectBytes(t, 100), rejectBytes(t, 1000), rejectBytes(t, 10000)
+	t.Logf("rejected admit: %d / %d / %d B at n=100 / 1000 / 10000", r100, r1000, r10000)
+	if r10000 > 2*r100 || r1000 > 4096 {
+		t.Fatalf("a rejected admit allocates %d B at n=10000 (want ≤ %d, twice n=100) and %d B at n=1000 (want ≤ 4096)", r10000, 2*r100, r1000)
+	}
+}
+
+// rejectBytes is the bytes one rejected admit allocates through the
+// handler on an n-task bigSession: a utilization-3 task sorts first and
+// no speed-1 machine takes it. Averaged over 20 admits after a warm-up.
+func rejectBytes(t *testing.T, n int) uint64 {
+	t.Helper()
+	s := newTestServer(t)
+	path := "/v1/sessions/" + bigSession(t, s, n) + "/tasks"
+	h := s.Handler()
+	const warm, admits = 3, 20
+	var reqs []*http.Request
+	for i := 0; i < warm+admits; i++ {
+		reqs = append(reqs, httptest.NewRequest(http.MethodPost, path, strings.NewReader(`{"task":{"wcet":300,"period":100}}`)))
+	}
+	w := &discard{h: http.Header{}}
+	for i := 0; i < warm; i++ {
+		h.ServeHTTP(w, reqs[i])
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := warm; i < warm+admits; i++ {
+		h.ServeHTTP(w, reqs[i])
+	}
+	runtime.ReadMemStats(&after)
+	if w.code != http.StatusOK {
+		t.Fatalf("n=%d: rejected admit: status %d", n, w.code)
+	}
+	return (after.TotalAlloc - before.TotalAlloc) / admits
 }
 
 // admitRemoveBytes is the bytes one tail admit → remove cycle allocates
