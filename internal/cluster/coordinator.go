@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -615,17 +614,11 @@ func (c *Coordinator) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	service.WriteJSON(w, http.StatusOK, map[string]any{"migrated": true, "from": holder, "to": req.Target})
 }
 
+// decodeAdmin decodes an admin request body with the replicas' strict
+// decoder and answers its 400 itself.
 func decodeAdmin[T any](w http.ResponseWriter, r *http.Request, dst *T) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(dst)
-	if err == nil {
-		if _, end := dec.Token(); end != io.EOF {
-			err = errors.New("trailing data after the JSON value")
-		}
-	}
-	if err != nil {
-		service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: fmt.Sprintf("decoding request: %v", err)})
+	if err := service.Decode(w, r, dst, 1<<20); err != nil {
+		service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: err.Error()})
 		return false
 	}
 	return true

@@ -56,18 +56,17 @@
 // constrained engines keep the insert-and-rollback refusal (a local
 // admit inserts at the end, where that costs O(1)).
 //
-// Admit, Remove, UpdateWCET and their Force variants return the full
-// partition.Result, refusal witness included: an n-entry assignment that
-// the differential tests compare with a fresh solve. A served session
-// reads only the verdict, the failed task, the m loads and the op task's
-// own machine, so it calls AdmitSummary, RemoveSummary and
-// UpdateWCETSummary instead (summary.go), which never build the witness
-// assignment: a refused admit then costs O(m log n) and allocates
-// nothing.
+// Admit, Remove and UpdateWCET return the full partition.Result,
+// refusal witness included: an n-entry assignment that the differential
+// tests compare with a fresh solve. A served session reads only the
+// verdict, the failed task, the m loads and the op task's own machine,
+// so it calls AdmitSummary, RemoveSummary and UpdateWCETSummary instead
+// (summary.go), which never build the witness assignment: a refused
+// admit then costs O(m log n) and allocates nothing.
 //
 // A first_fit_sorted engine with implicit deadlines can also commit
-// that witness (ForceAdmit, ForceRemove, ForceUpdateWCET, or NewEngine
-// over an infeasible set) and hold the fresh solve's failure state: the
+// that witness (a Summary call with force set, or NewEngine over an
+// infeasible set) and hold the fresh solve's failure state: the
 // placement-order prefix before the first task no machine admits stays
 // placed, and that task and every later one are unplaced. A later
 // mutation past the failure position changes nothing placed; one at or
@@ -1339,43 +1338,6 @@ func (e *Engine) Admit(t task.Task) (res partition.Result, admitted bool, err er
 		res = e.Result() // re-snapshot past the applied repartition
 	}
 	return res, admitted, err
-}
-
-// ForceAdmit, ForceRemove and ForceUpdateWCET are Admit, Remove and
-// UpdateWCET that commit the mutation even when the engine refuses it.
-// A refused mutation leaves the engine in the fresh sorted solve's
-// failure state over the new multiset (see the package doc), and res
-// and Result then report exactly what partition.Solver reports: Feasible
-// false, FailedTask, -1 for every unplaced task, and the loads at the
-// failure point. The verdict is the plain call's: false when the
-// committed set is infeasible. Only first_fit_sorted engines with
-// implicit deadlines can hold that state; any other engine answers an
-// error and is unchanged.
-func (e *Engine) ForceAdmit(t task.Task) (res partition.Result, admitted bool, err error) {
-	if err := e.forcible(); err != nil {
-		return partition.Result{}, false, err
-	}
-	if err := t.Validate(); err != nil {
-		return partition.Result{}, false, fmt.Errorf("online: %w", err)
-	}
-	return e.admitOne(t, t.Period, true)
-}
-
-// ForceRemove is Remove that commits a refused removal; see ForceAdmit.
-func (e *Engine) ForceRemove(id int) (res partition.Result, ok bool, err error) {
-	if err := e.forcible(); err != nil {
-		return partition.Result{}, false, err
-	}
-	return e.removeInner(id, true)
-}
-
-// ForceUpdateWCET is UpdateWCET that commits a refused update; see
-// ForceAdmit.
-func (e *Engine) ForceUpdateWCET(id int, wcet int64) (res partition.Result, ok bool, err error) {
-	if err := e.forcible(); err != nil {
-		return partition.Result{}, false, err
-	}
-	return e.updateWCETInner(id, wcet, true)
 }
 
 // forcible refuses force on engines that cannot hold a failure state:

@@ -124,12 +124,45 @@ type singleOp struct {
 	force bool
 }
 
-// apply runs op on e through its plain call and, on a twin rebuilt from
-// e's multiset, through its Summary call. The Summary must describe
-// exactly what the plain result does (verdict, failed task, load bits,
-// the op task's assignment entry), the twin must end in e's state, and a
-// plain refusal's witness must be the fresh sorted solve of the
-// candidate multiset. It returns the plain call's result and verdict.
+// plain is op's plain call on e, which answers the full result.
+func (op singleOp) plain(e *Engine) (partition.Result, bool, error) {
+	switch op.kind {
+	case opAdmit:
+		return e.Admit(op.tk)
+	case opDrop:
+		return e.Remove(op.id)
+	}
+	return e.UpdateWCET(op.id, op.wcet)
+}
+
+// summary is op's Summary call on e, forced when op is.
+func (op singleOp) summary(e *Engine) (Summary, error) {
+	switch op.kind {
+	case opAdmit:
+		return e.AdmitSummary(dbf.Task{Name: op.tk.Name, WCET: op.tk.WCET, Deadline: op.tk.Period, Period: op.tk.Period}, op.force)
+	case opDrop:
+		return e.RemoveSummary(op.id, op.force)
+	}
+	return e.UpdateWCETSummary(op.id, op.wcet, op.force)
+}
+
+// run applies op to e and returns its full result and verdict: the
+// plain call's, or for a forced op, which has no plain call and always
+// commits, the Summary call's verdict and the state it leaves.
+func (op singleOp) run(e *Engine) (partition.Result, bool, error) {
+	if !op.force {
+		return op.plain(e)
+	}
+	sum, err := op.summary(e)
+	return e.Result(), sum.Feasible, err
+}
+
+// apply runs op on e (run) and, on a twin rebuilt from e's multiset,
+// through its Summary call. The Summary must describe exactly what the
+// full result does (verdict, failed task, load bits, the op task's
+// assignment entry), the twin must end in e's state, and a plain
+// refusal's witness must be the fresh sorted solve of the candidate
+// multiset. It returns the full result and verdict.
 func (op singleOp) apply(t *testing.T, e *Engine, p machine.Platform, adm partition.AdmissionTest) (partition.Result, bool) {
 	t.Helper()
 	twin, err := NewEngine(e.Tasks(), p, Options{Admission: adm, Alpha: e.Alpha()})
@@ -137,39 +170,19 @@ func (op singleOp) apply(t *testing.T, e *Engine, p machine.Platform, adm partit
 		t.Fatal(err)
 	}
 	cand := e.Tasks()
-	var res partition.Result
-	var ok bool
-	var sum Summary
-	var serr error
 	entry := -1 // the op task's index in res's assignment
 	switch op.kind {
 	case opAdmit:
-		admit := e.Admit
-		if op.force {
-			admit = e.ForceAdmit
-		}
-		res, ok, err = admit(op.tk)
-		sum, serr = twin.AdmitSummary(dbf.Task{Name: op.tk.Name, WCET: op.tk.WCET, Deadline: op.tk.Period, Period: op.tk.Period}, op.force)
 		cand = append(cand, op.tk)
 		entry = len(cand) - 1
 	case opDrop:
-		remove := e.Remove
-		if op.force {
-			remove = e.ForceRemove
-		}
-		res, ok, err = remove(op.id)
-		sum, serr = twin.RemoveSummary(op.id, op.force)
 		cand = append(cand[:op.id], cand[op.id+1:]...)
 	default:
-		update := e.UpdateWCET
-		if op.force {
-			update = e.ForceUpdateWCET
-		}
-		res, ok, err = update(op.id, op.wcet)
-		sum, serr = twin.UpdateWCETSummary(op.id, op.wcet, op.force)
 		cand[op.id].WCET = op.wcet
 		entry = op.id
 	}
+	res, ok, err := op.run(e)
+	sum, serr := op.summary(twin)
 	if err != nil || serr != nil {
 		t.Fatalf("%+v: plain err %v, summary err %v", op, err, serr)
 	}
@@ -224,14 +237,10 @@ func TestEngineFuzzOps(t *testing.T) {
 				for op := 0; op < 100; op++ {
 					wasFeasible := e.Feasible()
 					force := rng.Intn(4) == 0
-					admit, remove, update := e.Admit, e.Remove, e.UpdateWCET
-					if force {
-						admit, remove, update = e.ForceAdmit, e.ForceRemove, e.ForceUpdateWCET
-					}
 					switch k := rng.Intn(12); {
 					case k < 4:
 						tk := randTask(rng)
-						_, ok, err := admit(tk)
+						_, ok, err := singleOp{kind: opAdmit, tk: tk, force: force}.run(e)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -265,7 +274,7 @@ func TestEngineFuzzOps(t *testing.T) {
 						}
 					case k < 10 && len(cur) > 1:
 						id := rng.Intn(len(cur))
-						_, ok, err := remove(id)
+						_, ok, err := singleOp{kind: opDrop, id: id, force: force}.run(e)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -275,7 +284,7 @@ func TestEngineFuzzOps(t *testing.T) {
 					default:
 						id := rng.Intn(len(cur))
 						wcet := 1 + rng.Int63n(cur[id].Period)
-						_, ok, err := update(id, wcet)
+						_, ok, err := singleOp{kind: opWCET, id: id, wcet: wcet, force: force}.run(e)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -1,6 +1,8 @@
 package online
 
 import (
+	"fmt"
+
 	"partfeas/internal/dbf"
 	"partfeas/internal/partition"
 	"partfeas/internal/task"
@@ -25,46 +27,67 @@ type Summary struct {
 	Machine int
 }
 
-// AdmitSummary is AdmitConstrained, or ForceAdmit when force is set,
-// answered as a Summary. The refusal builds no witness assignment, so on
-// a first_fit_sorted implicit-deadline engine a refused admission costs
-// O(m log n) and allocates nothing (see refuseEarly); other engines
-// still insert and roll back. A forced task must have D = P.
+// AdmitSummary is AdmitConstrained answered as a Summary. The refusal
+// builds no witness assignment, so on a first_fit_sorted
+// implicit-deadline engine a refused admission costs O(m log n) and
+// allocates nothing (see refuseEarly); other engines still insert and
+// roll back.
+//
+// With force set, AdmitSummary, RemoveSummary and UpdateWCETSummary
+// commit the mutation even when the engine refuses it. A refused
+// mutation leaves the engine in the fresh sorted solve's failure state
+// over the new multiset (see the package doc), which the Summary and
+// Result then report exactly as partition.Solver does: Feasible false,
+// FailedTask, -1 for every unplaced task, and the loads at the failure
+// point. Only first_fit_sorted engines with implicit deadlines can hold
+// that state (a forced task must have D = P); any other engine answers
+// an error and is unchanged.
 func (e *Engine) AdmitSummary(t dbf.Task, force bool) (Summary, error) {
-	e.brief = true
-	var res partition.Result
-	var err error
 	if force {
-		res, _, err = e.ForceAdmit(task.Task{Name: t.Name, WCET: t.WCET, Period: t.Period})
-	} else {
-		res, _, err = e.AdmitConstrained(t)
+		if err := e.forcible(); err != nil {
+			return Summary{}, err
+		}
+		tk := task.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
+		if err := tk.Validate(); err != nil {
+			return Summary{}, fmt.Errorf("online: %w", err)
+		}
+		res, _, err := e.admitOne(tk, tk.Period, true)
+		return e.summary(res, err, len(e.tasks)-1)
 	}
+	e.brief = true
+	res, _, err := e.AdmitConstrained(t)
 	e.brief = false
 	return e.summary(res, err, len(e.tasks)-1)
 }
 
-// RemoveSummary is Remove, or ForceRemove when force is set, answered
-// as a Summary.
+// RemoveSummary is Remove answered as a Summary; force commits a
+// refused removal (see AdmitSummary).
 func (e *Engine) RemoveSummary(id int, force bool) (Summary, error) {
-	e.brief = true
-	remove := e.Remove
 	if force {
-		remove = e.ForceRemove
+		if err := e.forcible(); err != nil {
+			return Summary{}, err
+		}
+		res, _, err := e.removeInner(id, true)
+		return e.summary(res, err, -1)
 	}
-	res, _, err := remove(id)
+	e.brief = true
+	res, _, err := e.Remove(id)
 	e.brief = false
 	return e.summary(res, err, -1)
 }
 
-// UpdateWCETSummary is UpdateWCET, or ForceUpdateWCET when force is set,
-// answered as a Summary.
+// UpdateWCETSummary is UpdateWCET answered as a Summary; force commits a
+// refused update (see AdmitSummary).
 func (e *Engine) UpdateWCETSummary(id int, wcet int64, force bool) (Summary, error) {
-	e.brief = true
-	update := e.UpdateWCET
 	if force {
-		update = e.ForceUpdateWCET
+		if err := e.forcible(); err != nil {
+			return Summary{}, err
+		}
+		res, _, err := e.updateWCETInner(id, wcet, true)
+		return e.summary(res, err, id)
 	}
-	res, _, err := update(id, wcet)
+	e.brief = true
+	res, _, err := e.UpdateWCET(id, wcet)
 	e.brief = false
 	return e.summary(res, err, id)
 }

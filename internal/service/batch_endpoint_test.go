@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -113,6 +114,46 @@ func TestSessionAdmitBatchEndpoint(t *testing.T) {
 	if encode(t, afterState.Test) != encode(t, before.Test) {
 		t.Fatal("session state changed after rejected all-or-nothing batch")
 	}
+}
+
+// TestDisarmedBatchAnswersState pins a disarmed best-effort batch that
+// admits a task and then refuses one: its answer is the session's state
+// after the batch, not the refused candidate's witness. The best_fit
+// session opens disarmed (best fit cannot place the set, so repartition
+// answers 409); 25/100 makes the sorted set feasible but best fit still
+// cannot place it, so 95/100 is refused on the sorted engine.
+func TestDisarmedBatchAnswersState(t *testing.T) {
+	s := newTestServer(t)
+	w := do(t, s, http.MethodPost, "/v1/sessions", `{"placement":"best_fit","speeds":[1,1,1],"tasks":[`+
+		`{"wcet":52,"period":100},{"wcet":14,"period":100},{"wcet":69,"period":100},`+
+		`{"wcet":60,"period":100},{"wcet":29,"period":100},{"wcet":43,"period":100}]}`)
+	if w.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", w.Code, w.Body)
+	}
+	if w := do(t, s, http.MethodPost, "/v1/sessions/s-1/repartition", `{}`); w.Code != http.StatusConflict {
+		t.Fatalf("repartition on the disarmed session: %d %s, want 409", w.Code, w.Body)
+	}
+	w = do(t, s, http.MethodPost, "/v1/sessions/s-1/admit-batch", `{"tasks":[{"wcet":25,"period":100},{"wcet":95,"period":100}]}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("batch: %d %s", w.Code, w.Body)
+	}
+	var resp BatchAdmissionResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	get := do(t, s, http.MethodGet, "/v1/sessions/s-1", "")
+	var state SessionResponse
+	if err := json.Unmarshal(get.Body.Bytes(), &state); err != nil {
+		t.Fatal(err)
+	}
+	if !state.Test.Accepted {
+		t.Fatalf("state after the batch is infeasible: %s", get.Body)
+	}
+	want := []int{entryOf(state.Test, 6), -1}
+	if !slices.Equal(resp.Admitted, []bool{true, false}) || !slices.Equal(resp.Machines, want) || want[0] < 0 {
+		t.Fatalf("batch admitted %v on machines %v, want [true false] on %v", resp.Admitted, resp.Machines, want)
+	}
+	checkSummary(t, "disarmed batch", resp.Test, state.Test)
 }
 
 // TestSessionAdmitBatchValidation covers the endpoint's guards.

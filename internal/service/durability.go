@@ -27,7 +27,6 @@ package service
 // Retry-After header, while reads keep serving from memory.
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -191,17 +190,6 @@ func (d *durability) logOp(op *oplog.Op) error {
 	return nil
 }
 
-// applyCtx strips cancellation from ctx once an op is acknowledged, so
-// the apply cannot be aborted halfway by a client hang-up. Without a
-// durability layer the context passes through untouched — opt-in means
-// zero behavior change.
-func (d *durability) applyCtx(ctx context.Context) context.Context {
-	if d == nil {
-		return ctx
-	}
-	return context.WithoutCancel(ctx)
-}
-
 // mode is the wire-visible durability mode ("wal" or "none").
 func (d *durability) mode() string {
 	if d == nil {
@@ -350,7 +338,7 @@ func (d *durability) apply(op *oplog.Op) error {
 	if err != nil {
 		return fmt.Errorf("op %d (%s) targets unknown session %q", op.Index, op.Type, op.Session)
 	}
-	err = applySessionOp(context.Background(), s, op)
+	err = applySessionOp(s, op)
 	var he *httpError
 	if errors.As(err, &he) {
 		return nil // deterministic rejection: a no-op live, a no-op now
@@ -362,9 +350,10 @@ func (d *durability) apply(op *oplog.Op) error {
 // paths the live server runs. Shared by recovery replay and migration
 // commit (the destination replays the source's WAL tail through it).
 // httpErrors are deterministic rejections and propagate for the caller
-// to tolerate.
-func applySessionOp(ctx context.Context, s *session, op *oplog.Op) error {
-	b := budget{ctx: ctx}
+// to tolerate. The op was acknowledged when it was logged, so it runs on
+// the zero budget, which never expires.
+func applySessionOp(s *session, op *oplog.Op) error {
+	var b budget
 	var err error
 	switch op.Type {
 	case oplog.TypeAdmit:
@@ -390,7 +379,7 @@ func applySessionOp(ctx context.Context, s *session, op *oplog.Op) error {
 	case oplog.TypeUpdateWCET:
 		_, err = s.updateWCET(b, op.Target, op.WCET, op.Force)
 	case oplog.TypeRepartition:
-		_, err = s.repartition(ctx, op.Target, true)
+		_, err = s.repartition(b, op.Target, true)
 	default:
 		return fmt.Errorf("op %d: unknown type %v", op.Index, op.Type)
 	}
@@ -404,7 +393,7 @@ func (d *durability) applyCreate(op *oplog.Op) error {
 	}
 	// The recorded id is replayed explicitly, so coordinator-assigned and
 	// store-assigned ids alike reconstruct byte-identically.
-	if _, err := d.st.create(in, dls, op.Alpha, placement, op.Session); err != nil {
+	if _, err := d.st.create(budget{}, in, dls, op.Alpha, placement, op.Session); err != nil {
 		return fmt.Errorf("op %d: replay create: %w", op.Index, err)
 	}
 	return nil

@@ -92,11 +92,11 @@ func durabilityScript() []scriptStep {
 	}
 	return []scriptStep{
 		{"create-s1-sorted-edf", func(srv *Server) error {
-			_, err := srv.sessions.create(instance(partfeas.EDF), nil, 1, online.FirstFitSorted(), "")
+			_, err := srv.sessions.create(budget{}, instance(partfeas.EDF), nil, 1, online.FirstFitSorted(), "")
 			return err
 		}},
 		{"create-s2-arrival-rms", func(srv *Server) error {
-			_, err := srv.sessions.create(instance(partfeas.RMS), nil, 2, online.FirstFitArrival(), "")
+			_, err := srv.sessions.create(budget{}, instance(partfeas.RMS), nil, 2, online.FirstFitArrival(), "")
 			return err
 		}},
 		{"create-s3-constrained", func(srv *Server) error {
@@ -105,7 +105,7 @@ func durabilityScript() []scriptStep {
 				Platform:  partfeas.Platform{{Name: "c0", Speed: 1}, {Name: "c1", Speed: 1}},
 				Scheduler: partfeas.EDF,
 			}
-			_, err := srv.sessions.create(in, []int64{3, 8}, 1, online.FirstFitSorted(), "")
+			_, err := srv.sessions.create(budget{}, in, []int64{3, 8}, 1, online.FirstFitSorted(), "")
 			return err
 		}},
 		{"s1-admit", withSession("s-1", func(s *session) error {
@@ -134,7 +134,7 @@ func durabilityScript() []scriptStep {
 				Platform:  partfeas.Platform{{Name: "q0", Speed: 1}},
 				Scheduler: partfeas.EDF,
 			}
-			_, err := srv.sessions.create(in, nil, 1, online.FirstFitSorted(), "")
+			_, err := srv.sessions.create(budget{}, in, nil, 1, online.FirstFitSorted(), "")
 			return err
 		}},
 		{"s4-force-infeasible", withSession("s-4", func(s *session) error {
@@ -154,7 +154,7 @@ func durabilityScript() []scriptStep {
 			return err
 		})},
 		{"s2-repartition-apply", withSession("s-2", func(s *session) error {
-			_, err := s.repartition(ctx, 0, true)
+			_, err := s.repartition(budget{ctx: ctx}, 0, true)
 			return err
 		})},
 		{"s1-wcet", withSession("s-1", func(s *session) error {
@@ -162,7 +162,7 @@ func durabilityScript() []scriptStep {
 			return err
 		})},
 		{"create-s5", func(srv *Server) error {
-			_, err := srv.sessions.create(instance(partfeas.EDF), nil, 1.5, online.FirstFitSorted(), "")
+			_, err := srv.sessions.create(budget{}, instance(partfeas.EDF), nil, 1.5, online.FirstFitSorted(), "")
 			return err
 		}},
 		{"destroy-s5", func(srv *Server) error {
@@ -176,7 +176,7 @@ func durabilityScript() []scriptStep {
 		// policy name ("best_fit") and replay/restore must resolve it
 		// through the same ParsePolicy grammar the handlers use.
 		{"create-s6-bestfit", func(srv *Server) error {
-			_, err := srv.sessions.create(instance(partfeas.EDF), nil, 1, online.BestFit(), "")
+			_, err := srv.sessions.create(budget{}, instance(partfeas.EDF), nil, 1, online.BestFit(), "")
 			return err
 		}},
 		{"s6-admit", withSession("s-6", func(s *session) error {
@@ -379,7 +379,7 @@ func TestDestroyMutationWALOrdering(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		dir := t.TempDir()
 		srv := mustDurable(t, dir, Config{FsyncInterval: -1, SnapshotEvery: -1})
-		s, err := srv.sessions.create(in, nil, 1, online.FirstFitSorted(), "")
+		s, err := srv.sessions.create(budget{}, in, nil, 1, online.FirstFitSorted(), "")
 		if err != nil {
 			t.Fatalf("create: %v", err)
 		}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -148,11 +147,12 @@ func (s *Server) statusFor(r *http.Request, err error) int {
 	return http.StatusInternalServerError
 }
 
-// decode reads a strict JSON body: exactly one value (trailing
+// Decode reads a strict JSON request body: exactly one value (trailing
 // whitespace only), unknown fields rejected, at most limit bytes — 1 MiB
-// on the public API, 64 MiB for migration payloads (a full session
-// snapshot plus WAL tail).
-func decode[T any](w http.ResponseWriter, r *http.Request, dst *T, limit int64) error {
+// on the public API and the coordinator's admin API, 64 MiB for
+// migration payloads (a full session snapshot plus WAL tail). Its error
+// is a 400 whose message starts "decoding request: ".
+func Decode[T any](w http.ResponseWriter, r *http.Request, dst *T, limit int64) error {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -179,19 +179,8 @@ func (s *Server) timeout(timeoutMS int64) time.Duration {
 	return max(d, 0)
 }
 
-// requestCtx derives the per-request deadline for work that watches a
-// context (a solve, a peer call). The returned context descends from the
-// client's, so a dropped connection cancels in-flight work either way.
-func (s *Server) requestCtx(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
-	if d := s.timeout(timeoutMS); d > 0 {
-		return context.WithTimeout(r.Context(), d)
-	}
-	return context.WithCancel(r.Context())
-}
-
-// budget is requestCtx for a session route whose context only reaches
-// the session's guard: the same deadline, checked against the clock
-// instead of armed as a timer.
+// budget is the request's one deadline: its context plus the instant
+// its timeout runs out.
 func (s *Server) budget(r *http.Request, timeoutMS int64) budget {
 	b := budget{ctx: r.Context()}
 	if d := s.timeout(timeoutMS); d > 0 {
@@ -202,7 +191,7 @@ func (s *Server) budget(r *http.Request, timeoutMS int64) budget {
 
 func (s *Server) handleTest(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req TestRequest
-	if err := decode(w, r, &req, 1<<20); err != nil {
+	if err := Decode(w, r, &req, 1<<20); err != nil {
 		return nil, 0, err
 	}
 	in, err := req.Instance()
@@ -215,7 +204,7 @@ func (s *Server) handleTest(w http.ResponseWriter, r *http.Request) (any, int, e
 	if err := checkAlpha(req.Alpha); err != nil {
 		return nil, 0, err
 	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
+	ctx, cancel := s.budget(r, req.TimeoutMS).context()
 	defer cancel()
 	rep, err := partfeas.TestCtx(ctx, in, req.Alpha)
 	if err != nil {
@@ -226,7 +215,7 @@ func (s *Server) handleTest(w http.ResponseWriter, r *http.Request) (any, int, e
 
 func (s *Server) handleMinAlpha(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req MinAlphaRequest
-	if err := decode(w, r, &req, 1<<20); err != nil {
+	if err := Decode(w, r, &req, 1<<20); err != nil {
 		return nil, 0, err
 	}
 	in, err := req.Instance()
@@ -245,7 +234,7 @@ func (s *Server) handleMinAlpha(w http.ResponseWriter, r *http.Request) (any, in
 	if !(req.Lo > 0) || req.Hi < req.Lo || !(req.Tol > 0) {
 		return nil, 0, badRequest("bisection bracket [lo=%v, hi=%v] tol=%v invalid", req.Lo, req.Hi, req.Tol)
 	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
+	ctx, cancel := s.budget(r, req.TimeoutMS).context()
 	defer cancel()
 	alpha, ok, err := partfeas.MinAlphaCtx(ctx, in, req.Lo, req.Hi, req.Tol)
 	if err != nil {
@@ -256,7 +245,7 @@ func (s *Server) handleMinAlpha(w http.ResponseWriter, r *http.Request) (any, in
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req AnalyzeRequest
-	if err := decode(w, r, &req, 1<<20); err != nil {
+	if err := Decode(w, r, &req, 1<<20); err != nil {
 		return nil, 0, err
 	}
 	in, err := req.Instance()
@@ -267,7 +256,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) (any, int
 	if budget <= 0 {
 		budget = s.cfg.AnalyzeBudget
 	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
+	ctx, cancel := s.budget(r, req.TimeoutMS).context()
 	defer cancel()
 	a, err := partfeas.AnalyzeCtx(ctx, in.Tasks, in.Platform, partfeas.AnalyzeOptions{ExactBudget: budget})
 	if err != nil {
@@ -278,7 +267,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) (any, int
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req CreateSessionRequest
-	if err := decode(w, r, &req, 1<<20); err != nil {
+	if err := Decode(w, r, &req, 1<<20); err != nil {
 		return nil, 0, err
 	}
 	constrained := false
@@ -303,7 +292,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) (an
 	if err != nil {
 		return nil, 0, badRequest("%v", err)
 	}
-	b := s.budget(r, req.TimeoutMS)
 	// X-Session-ID is the coordinator's pre-assigned id: the
 	// consistent-hash ring routes by id, so the id must exist before the
 	// session does. Direct clients normally omit it and get "s-<n>".
@@ -312,13 +300,12 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) (an
 	if constrained {
 		dls = req.Deadlines()
 	}
-	sess, err := s.sessions.create(in, dls, req.Alpha, placement, id)
+	sess, err := s.sessions.create(s.budget(r, req.TimeoutMS), in, dls, req.Alpha, placement, id)
 	if err != nil {
 		return nil, 0, err
 	}
-	state, err := sess.state(b)
+	state, err := sess.state(budget{}) // committed: answered past the deadline
 	if err != nil {
-		_ = s.sessions.remove(sess.id)
 		return nil, 0, err
 	}
 	s.markDurability(w, &state.Durability)
@@ -348,7 +335,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) (an
 
 func (s *Server) handleSessionTest(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req SessionTestRequest
-	if err := decode(w, r, &req, 1<<20); err != nil {
+	if err := Decode(w, r, &req, 1<<20); err != nil {
 		return nil, 0, err
 	}
 	if req.Alpha != 0 { // 0 keeps the session augmentation
@@ -360,16 +347,7 @@ func (s *Server) handleSessionTest(w http.ResponseWriter, r *http.Request) (any,
 	if err != nil {
 		return nil, 0, err
 	}
-	// Only an ad-hoc alpha runs a solve, which watches a context.
-	var b budget
-	if req.Alpha == 0 {
-		b = s.budget(r, req.TimeoutMS)
-	} else {
-		ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-		defer cancel()
-		b = budget{ctx: ctx}
-	}
-	resp, err := sess.test(b, req.Alpha)
+	resp, err := sess.test(s.budget(r, req.TimeoutMS), req.Alpha)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -378,7 +356,7 @@ func (s *Server) handleSessionTest(w http.ResponseWriter, r *http.Request) (any,
 
 func (s *Server) handleSessionAddTask(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req AddTaskRequest
-	if err := decode(w, r, &req, 1<<20); err != nil {
+	if err := Decode(w, r, &req, 1<<20); err != nil {
 		return nil, 0, err
 	}
 	t := partfeas.Task{Name: req.Task.Name, WCET: req.Task.WCET, Period: req.Task.Period}
@@ -399,7 +377,7 @@ func (s *Server) handleSessionAddTask(w http.ResponseWriter, r *http.Request) (a
 
 func (s *Server) handleSessionAdmitBatch(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req AdmitBatchRequest
-	if err := decode(w, r, &req, 1<<20); err != nil {
+	if err := Decode(w, r, &req, 1<<20); err != nil {
 		return nil, 0, err
 	}
 	var mode online.BatchMode
@@ -451,7 +429,7 @@ func (s *Server) handleSessionRemoveTask(w http.ResponseWriter, r *http.Request)
 
 func (s *Server) handleSessionUpdateWCET(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req UpdateWCETRequest
-	if err := decode(w, r, &req, 1<<20); err != nil {
+	if err := Decode(w, r, &req, 1<<20); err != nil {
 		return nil, 0, err
 	}
 	sess, err := s.sessions.get(r.PathValue("id"))
@@ -468,7 +446,7 @@ func (s *Server) handleSessionUpdateWCET(w http.ResponseWriter, r *http.Request)
 
 func (s *Server) handleSessionRepartition(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req RepartitionRequest
-	if err := decode(w, r, &req, 1<<20); err != nil {
+	if err := Decode(w, r, &req, 1<<20); err != nil {
 		return nil, 0, err
 	}
 	if req.MaxMoves < 0 {
@@ -478,9 +456,7 @@ func (s *Server) handleSessionRepartition(w http.ResponseWriter, r *http.Request
 	if err != nil {
 		return nil, 0, err
 	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-	resp, err := sess.repartition(ctx, req.MaxMoves, req.Apply)
+	resp, err := sess.repartition(s.budget(r, req.TimeoutMS), req.MaxMoves, req.Apply)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -278,8 +279,8 @@ func TestHandlerDeadlineExpiry(t *testing.T) {
 	if w := do(t, s, "POST", "/v1/analyze", demoBody+`}`); w.Code != http.StatusOK {
 		t.Errorf("/v1/analyze under expired deadline: code = %d, want 200 (body %s)", w.Code, w.Body)
 	}
-	// Session creation re-tests the set under the same expired deadline and
-	// must not leave a half-created session behind.
+	// Session creation checks the same expired deadline before it commits
+	// and must not leave a session behind.
 	w := do(t, s, "POST", "/v1/sessions", demoBody+`}`)
 	if w.Code != http.StatusGatewayTimeout {
 		t.Errorf("sessions: code = %d, want 504 (body %s)", w.Code, w.Body)
@@ -289,34 +290,121 @@ func TestHandlerDeadlineExpiry(t *testing.T) {
 	}
 }
 
-// TestSessionBudgetExpiry pins the timer-free deadline of the session
-// routes that only check it (budget): an admit that waits on the
-// session lock past its timeout_ms answers exactly what the
-// context-deadline version answered, a 504 with the pipeline error, and
+// TestSessionBudgetExpiry pins the one deadline check of every session
+// mutation: an op that waits on the session lock past its deadline
+// (timeout_ms, or the server default for a remove, which has no body)
+// answers a 504 with the pipeline error the library solve gives, and
 // appends no WAL record.
 func TestSessionBudgetExpiry(t *testing.T) {
-	s := mustDurable(t, t.TempDir(), Config{FsyncInterval: -1, SnapshotEvery: -1})
-	if w := do(t, s, http.MethodPost, "/v1/sessions", `{"tasks":[{"wcet":1,"period":10}],"speeds":[1]}`); w.Code != http.StatusCreated {
-		t.Fatalf("create: %d %s", w.Code, w.Body)
+	for _, c := range []struct{ name, method, path, body string }{
+		{"admit", http.MethodPost, "/v1/sessions/s-1/tasks", `{"task":{"wcet":1,"period":20},"timeout_ms":20}`},
+		{"admit-batch", http.MethodPost, "/v1/sessions/s-1/admit-batch", `{"tasks":[{"wcet":1,"period":20}],"timeout_ms":20}`},
+		{"remove", http.MethodDelete, "/v1/sessions/s-1/tasks/1", ""},
+		{"wcet", http.MethodPost, "/v1/sessions/s-1/wcet", `{"index":0,"wcet":2,"timeout_ms":20}`},
+		{"repartition", http.MethodPost, "/v1/sessions/s-1/repartition", `{"apply":true,"timeout_ms":20}`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := mustDurable(t, t.TempDir(), Config{DefaultTimeout: 20 * time.Millisecond, FsyncInterval: -1, SnapshotEvery: -1})
+			if w := do(t, s, http.MethodPost, "/v1/sessions", `{"tasks":[{"wcet":1,"period":10},{"wcet":1,"period":10}],"speeds":[1],"timeout_ms":10000}`); w.Code != http.StatusCreated {
+				t.Fatalf("create: %d %s", w.Code, w.Body)
+			}
+			sess, err := s.sessions.get("s-1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			appends := s.dur.wal.Stats().Appends
+			sess.mu.Lock()
+			done := make(chan *httptest.ResponseRecorder)
+			go func() { done <- do(t, s, c.method, c.path, c.body) }()
+			time.Sleep(80 * time.Millisecond)
+			sess.mu.Unlock()
+			w := <-done
+			if want := `{"error":"pipeline: analyze (Test): context deadline exceeded"}` + "\n"; w.Code != http.StatusGatewayTimeout || w.Body.String() != want {
+				t.Errorf("%s past its deadline: %d %q, want 504 %q", c.name, w.Code, w.Body, want)
+			}
+			if got := s.dur.wal.Stats().Appends; got != appends {
+				t.Errorf("timed-out %s moved WAL appends %d → %d", c.name, appends, got)
+			}
+		})
 	}
-	sess, err := s.sessions.get("s-1")
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestCreateBudgetExpiry pins session creation's one deadline check,
+// made before the create is logged: an expired create answers 504,
+// appends no WAL record and uses up no session id.
+func TestCreateBudgetExpiry(t *testing.T) {
+	s := mustDurable(t, t.TempDir(), Config{DefaultTimeout: time.Nanosecond, MaxTimeout: -1, FsyncInterval: -1, SnapshotEvery: -1})
+	body := `{"tasks":[{"wcet":1,"period":10}],"speeds":[1]`
+	if w := do(t, s, http.MethodPost, "/v1/sessions", body+`}`); w.Code != http.StatusGatewayTimeout {
+		t.Fatalf("create past its deadline: %d %s, want 504", w.Code, w.Body)
 	}
-	appends := s.dur.wal.Stats().Appends
-	sess.mu.Lock()
-	done := make(chan *httptest.ResponseRecorder)
-	go func() {
-		done <- do(t, s, http.MethodPost, "/v1/sessions/s-1/tasks", `{"task":{"wcet":1,"period":20},"timeout_ms":20}`)
-	}()
-	time.Sleep(80 * time.Millisecond)
-	sess.mu.Unlock()
-	w := <-done
-	if want := `{"error":"pipeline: analyze (Test): context deadline exceeded"}` + "\n"; w.Code != http.StatusGatewayTimeout || w.Body.String() != want {
-		t.Errorf("admit past its deadline: %d %q, want 504 %q", w.Code, w.Body, want)
+	if n := s.dur.wal.Stats().Appends; n != 0 {
+		t.Errorf("timed-out create appended %d WAL records", n)
 	}
-	if got := s.dur.wal.Stats().Appends; got != appends {
-		t.Errorf("timed-out admit moved WAL appends %d → %d", appends, got)
+	w := do(t, s, http.MethodPost, "/v1/sessions", body+`,"timeout_ms":10000}`)
+	var state SessionResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &state); err != nil || w.Code != http.StatusCreated || state.ID != "s-1" {
+		t.Errorf("next create: %d %s, want 201 as s-1", w.Code, w.Body)
+	}
+}
+
+// hangUp is a request context whose client hangs up right after the
+// first check of it: that Err call answers nil, every later one
+// context.Canceled.
+type hangUp struct {
+	context.Context
+	cancel  context.CancelFunc
+	checked atomic.Bool
+}
+
+func newHangUp() *hangUp {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &hangUp{Context: ctx, cancel: cancel}
+}
+
+func (h *hangUp) Err() error {
+	if !h.checked.Swap(true) {
+		defer h.cancel()
+	}
+	return h.Context.Err()
+}
+
+// TestRepartitionAnswersPastItsCheck pins the ack-point rule for a
+// repartition apply: once its deadline check passed, the moves commit
+// and the answer is 200 with them, even though the client went away
+// during the apply — with a WAL and without one.
+func TestRepartitionAnswersPastItsCheck(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			s := newTestServer(t)
+			if durable {
+				s = mustDurable(t, t.TempDir(), Config{FsyncInterval: -1, SnapshotEvery: -1})
+			}
+			var tasks []string
+			for w := 1; w <= 12; w++ {
+				tasks = append(tasks, fmt.Sprintf(`{"wcet":%d,"period":64}`, w))
+			}
+			if w := do(t, s, http.MethodPost, "/v1/sessions", `{"placement":"first_fit_arrival","speeds":[1,1,2],"tasks":[`+strings.Join(tasks, ",")+`]}`); w.Code != http.StatusCreated {
+				t.Fatalf("create: %d %s", w.Code, w.Body)
+			}
+			var plan, applied RepartitionResponse
+			w := do(t, s, http.MethodPost, "/v1/sessions/s-1/repartition", `{}`)
+			if err := json.Unmarshal(w.Body.Bytes(), &plan); err != nil || plan.MovesTotal == 0 {
+				t.Fatalf("plan: %d %s, want moves", w.Code, w.Body)
+			}
+			ctx := newHangUp()
+			w = doCtx(t, s, ctx, http.MethodPost, "/v1/sessions/s-1/repartition", `{"apply":true}`)
+			if !ctx.checked.Load() || ctx.Err() == nil {
+				t.Fatal("the apply never checked its request context")
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &applied); w.Code != http.StatusOK || err != nil || applied.Applied != plan.MovesTotal {
+				t.Fatalf("apply past its check: %d %s, want 200 applying %d moves", w.Code, w.Body, plan.MovesTotal)
+			}
+			w = do(t, s, http.MethodPost, "/v1/sessions/s-1/repartition", `{}`)
+			if err := json.Unmarshal(w.Body.Bytes(), &plan); err != nil || plan.MovesTotal != 0 {
+				t.Fatalf("replan after the apply: %d %s, want no drift", w.Code, w.Body)
+			}
+		})
 	}
 }
 

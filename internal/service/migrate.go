@@ -177,13 +177,13 @@ func (s *Server) handleSessionIndex(_ http.ResponseWriter, _ *http.Request) (any
 
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req MigrateRequest
-	if err := decode(w, r, &req, 1<<20); err != nil {
+	if err := Decode(w, r, &req, 1<<20); err != nil {
 		return nil, 0, err
 	}
 	if !strings.HasPrefix(req.Target, "http://") && !strings.HasPrefix(req.Target, "https://") {
 		return nil, 0, badRequest("migration target %q must be a replica base URL", req.Target)
 	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
+	ctx, cancel := s.budget(r, req.TimeoutMS).context()
 	defer cancel()
 	resp, err := s.migrateTo(ctx, r.PathValue("id"), req.Target)
 	return resp, 0, err
@@ -191,7 +191,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) (any, int
 
 func (s *Server) handleMigratePrepare(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req migratePrepare
-	if err := decode(w, r, &req, 1<<26); err != nil {
+	if err := Decode(w, r, &req, 1<<26); err != nil {
 		return nil, 0, err
 	}
 	return s.stagePrepare(&req)
@@ -199,12 +199,10 @@ func (s *Server) handleMigratePrepare(w http.ResponseWriter, r *http.Request) (a
 
 func (s *Server) handleMigrateCommit(w http.ResponseWriter, r *http.Request) (any, int, error) {
 	var req migrateCommit
-	if err := decode(w, r, &req, 1<<26); err != nil {
+	if err := Decode(w, r, &req, 1<<26); err != nil {
 		return nil, 0, err
 	}
-	ctx, cancel := s.requestCtx(r, 0)
-	defer cancel()
-	resp, err := s.commitMigration(ctx, &req)
+	resp, err := s.commitMigration(&req)
 	return resp, 0, err
 }
 
@@ -270,7 +268,7 @@ func (s *Server) migrateTo(ctx context.Context, id, target string) (*MigrateResp
 	snap, err := encodeSession(sess)
 	sess.mu.Unlock()
 	if err != nil {
-		s.abortMigration(sess)
+		s.unfence(sess)
 		return nil, fmt.Errorf("encoding session %q: %w", id, err)
 	}
 
@@ -279,13 +277,13 @@ func (s *Server) migrateTo(ctx context.Context, id, target string) (*MigrateResp
 	// crash tests use it to land mutations deterministically inside the
 	// tail-capture window; only a non-nil Err fails the phase.
 	if p, ok := faultinject.CheckErr(faultinject.SiteMigrateSnapshot, 0); ok && p.Err != nil {
-		s.abortMigration(sess)
+		s.unfence(sess)
 		s.metrics.MigrationFailed()
 		return nil, &httpError{code: http.StatusBadGateway, msg: fmt.Sprintf("migration snapshot send: %v", p.Err)}
 	}
 	var prep migratePrepareResponse
 	if err := PostJSON(ctx, s.peerClient, target, migratePreparePath, &migratePrepare{ID: id, Epoch: newEpoch, Snapshot: snap}, &prep, peerResponseCap); err != nil {
-		s.abortMigration(sess)
+		s.unfence(sess)
 		s.metrics.MigrationFailed()
 		return nil, err
 	}
@@ -293,7 +291,7 @@ func (s *Server) migrateTo(ctx context.Context, id, target string) (*MigrateResp
 		// The destination is already the owner at this epoch or later —
 		// possible only if a previous handoff completed without this
 		// replica learning; refuse rather than guess.
-		s.abortMigration(sess)
+		s.unfence(sess)
 		s.metrics.MigrationFailed()
 		return nil, &httpError{code: http.StatusConflict,
 			msg: fmt.Sprintf("destination already owns session %q at epoch ≥ %d", id, newEpoch)}
@@ -398,23 +396,11 @@ func (s *Server) driveHandoff(ctx context.Context, id, target string, epoch uint
 	if prep.Already {
 		return nil
 	}
-	var res migrateCommitResponse
-	if err := PostJSON(ctx, s.peerClient, target, migrateCommitPath, &migrateCommit{ID: id, Epoch: epoch}, &res, peerResponseCap); err != nil {
-		return err
-	}
-	if !res.Already && !bytes.Equal(res.State, state) {
-		return fmt.Errorf("%w on re-drive", errDiverged)
-	}
-	return nil
+	return s.confirmCommit(ctx, id, target, epoch, state, nil)
 }
 
-func (s *Server) abortMigration(sess *session) {
-	sess.mu.Lock()
-	sess.migrating = false
-	sess.tail = nil
-	sess.mu.Unlock()
-}
-
+// unfence ends an outbound transfer that never reached its cutover: the
+// session is live here again, unfenced, with no tail capture.
 func (s *Server) unfence(sess *session) {
 	sess.mu.Lock()
 	sess.fenced = false
@@ -468,8 +454,10 @@ func (s *Server) stagePrepare(req *migratePrepare) (any, int, error) {
 
 // commitMigration replays the streamed tail onto the staged copy, logs
 // the arrival, and activates the session. Any failure discards the
-// staging — the source re-drives from its retained state.
-func (s *Server) commitMigration(ctx context.Context, req *migrateCommit) (*migrateCommitResponse, error) {
+// staging — the source re-drives from its retained state. The tail ops
+// were acknowledged at the source, so their replay runs to the end
+// whatever this request's deadline.
+func (s *Server) commitMigration(req *migrateCommit) (*migrateCommitResponse, error) {
 	st := s.sessions
 	st.mu.Lock()
 	if cur, ok := st.m[req.ID]; ok {
@@ -493,13 +481,12 @@ func (s *Server) commitMigration(ctx context.Context, req *migrateCommit) (*migr
 	st.mu.Unlock()
 
 	sess := stg.s
-	ctx = s.dur.applyCtx(ctx)
 	for i, op := range req.Tail {
 		if p, ok := faultinject.CheckErr(faultinject.SiteMigrateReplay, int64(i)); ok && p.Err != nil {
 			s.metrics.MigrationFailed()
 			return nil, &httpError{code: http.StatusInternalServerError, msg: fmt.Sprintf("migration replay: %v", p.Err)}
 		}
-		err := applySessionOp(ctx, sess, op)
+		err := applySessionOp(sess, op)
 		var he *httpError
 		if err != nil && !errors.As(err, &he) {
 			s.metrics.MigrationFailed()

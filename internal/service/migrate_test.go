@@ -139,7 +139,7 @@ func migScript(seed int64, n int, constrained bool) []migOp {
 				}
 			} else {
 				ops[i] = func(ctx context.Context, s *session) error {
-					_, err := s.repartition(ctx, 0, true)
+					_, err := s.repartition(budget{ctx: ctx}, 0, true)
 					return err
 				}
 			}
@@ -197,9 +197,9 @@ func createMigSession(t testing.TB, srv *Server, c migCase, id string) *session 
 	var s *session
 	var err error
 	if c.constrained {
-		s, err = srv.sessions.create(in, []int64{20, 3, 8}, 1, c.policy, id)
+		s, err = srv.sessions.create(budget{}, in, []int64{20, 3, 8}, 1, c.policy, id)
 	} else {
-		s, err = srv.sessions.create(in, nil, 1, c.policy, id)
+		s, err = srv.sessions.create(budget{}, in, nil, 1, c.policy, id)
 	}
 	if err != nil {
 		t.Fatalf("create %s: %v", c.name, err)

@@ -138,8 +138,9 @@ func (st *sessionStore) count() int {
 // first_fit_sorted engine. A constrained session cannot, so a set the
 // tiered pipeline cannot place fails creation with 409, and a typed
 // analysis error (horizon or demand overflow) is surfaced rather than
-// downgraded to a verdict.
-func (st *sessionStore) create(in partfeas.Instance, dls []int64, alpha float64, placement online.Policy, id string) (*session, error) {
+// downgraded to a verdict. b is checked once, after the engine is built
+// and before the create is logged.
+func (st *sessionStore) create(b budget, in partfeas.Instance, dls []int64, alpha float64, placement online.Policy, id string) (*session, error) {
 	defer st.dur.rlock()()
 	s := &session{
 		in: partfeas.Instance{
@@ -170,6 +171,9 @@ func (st *sessionStore) create(in partfeas.Instance, dls []int64, alpha float64,
 		return nil, &httpError{code: http.StatusConflict, msg: fmt.Sprintf("constrained session: %v", err)}
 	default:
 		return nil, badRequest("constrained session: %v", err)
+	}
+	if err := b.guard(); err != nil {
+		return nil, err
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -458,44 +462,43 @@ func (s *session) committed(ok bool) error {
 	return nil
 }
 
-// ctxGuard gives the engine path the library solve's cancellation
-// contract: an expired or cancelled context yields the same
-// *pipeline.Error shape, so clients cannot tell which path answered.
-func ctxGuard(ctx context.Context) error {
-	if cerr := ctx.Err(); cerr != nil {
-		return canceled(cerr)
-	}
-	return nil
-}
-
-func canceled(cause error) error {
-	return pipeline.New(pipeline.StageAnalyze, "Test", cause)
-}
-
-// budget is a session op's cancellation check without a timer: the
-// request's context, whose Err reports a client that went away, and the
-// instant the request's time budget runs out (zero: none). The session
-// routes whose context would only reach the guard — create, GET, /test
-// at the session alpha, admit, admit-batch, remove and WCET update — pass
-// a budget (Server.budget) instead of arming a context.WithTimeout per
-// request. Routes that run a
-// solve or a peer call keep requestCtx, whose Done channel the solve
-// watches; they pass budget{ctx: ctx}.
+// budget is a request's one deadline: the request's context, whose Err
+// reports a client that went away, and the instant its time budget runs
+// out (zero: none). Every route builds one (Server.budget). A session op
+// checks it once, before its WAL append — the ack point — and never
+// after, so an op that passed the check commits and answers.
+// It becomes a context only for a callee that watches one (a solve, a
+// peer call). The zero budget, which WAL recovery and migration tail
+// replay use, never expires.
 type budget struct {
 	ctx context.Context
 	end time.Time
 }
 
-// guard is ctxGuard for a budget: the error a context cancelled or
-// timed out at the same instant would give.
+// guard is the deadline check: the error the library solve answers for
+// a context cancelled or timed out at the same instant, so clients
+// cannot tell which path answered.
 func (b budget) guard() error {
-	if err := ctxGuard(b.ctx); err != nil {
-		return err
+	var cause error
+	switch {
+	case b.ctx != nil && b.ctx.Err() != nil:
+		cause = b.ctx.Err()
+	case !b.end.IsZero() && !time.Now().Before(b.end):
+		cause = context.DeadlineExceeded
+	default:
+		return nil
 	}
-	if !b.end.IsZero() && !time.Now().Before(b.end) {
-		return canceled(context.DeadlineExceeded)
+	return pipeline.New(pipeline.StageAnalyze, "Test", cause)
+}
+
+// context is a request's b as a context for a callee that watches one:
+// the request context with b's deadline. It is the package's one
+// derived context (TestOneRequestDeadline).
+func (b budget) context() (context.Context, context.CancelFunc) {
+	if b.end.IsZero() {
+		return context.WithCancel(b.ctx)
 	}
-	return nil
+	return context.WithDeadline(b.ctx, b.end)
 }
 
 // loadsText formats loads as a JSON array under s.mu into a pooled
@@ -583,8 +586,9 @@ func (s *session) state(b budget) (SessionResponse, error) {
 
 // test re-tests the current set; alpha 0 keeps the session augmentation.
 // Ad-hoc alphas always run a fresh solve (the engine's state is only
-// valid at the session alpha), watching b.ctx: the batch sorted test, or
-// for constrained sets the exact constrained first-fit.
+// valid at the session alpha): the batch sorted test, which watches the
+// budget as a context, or for constrained sets the exact constrained
+// first-fit.
 func (s *session) test(b budget, alpha float64) (TestResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -604,7 +608,9 @@ func (s *session) test(b budget, alpha float64) (TestResponse, error) {
 			rep, err = s.freshConstrainedReport(alpha)
 		}
 	default:
-		rep, err = partfeas.TestCtx(b.ctx, s.in, alpha)
+		ctx, cancel := b.context()
+		defer cancel()
+		rep, err = partfeas.TestCtx(ctx, s.in, alpha)
 	}
 	if err != nil {
 		return TestResponse{}, err
@@ -717,8 +723,9 @@ func (s *session) observeTier(d time.Duration) {
 // one merged suffix replay — and records its latency. A disarmed session
 // runs a best-effort batch one task at a time instead (stepwise), as
 // single admits, so it re-arms at the first task that makes its sorted
-// set feasible; the armed engine then takes the rest as one batch, and
-// the answer is its final state.
+// set feasible; the armed engine then takes the rest as one batch. A
+// batch that admitted anything answers the session's state after it;
+// one that admitted nothing answers its last refusal's witness.
 func (s *session) addTaskBatch(b budget, ts []partfeas.Task, dls []int64, mode online.BatchMode) (BatchAdmissionResponse, error) {
 	defer s.dur.rlock()()
 	s.mu.Lock()
@@ -758,7 +765,6 @@ func (s *session) addTaskBatch(b budget, ts []partfeas.Task, dls []int64, mode o
 	stepwise := !s.armed() && mode == online.BestEffort
 	admitted := make([]bool, 0, len(ts))
 	var res partition.Result
-	committed := false // res is the engine's state, not a refusal's witness
 	for i := 0; i < len(ts); {
 		n := len(ts) - i
 		if stepwise && !s.armed() {
@@ -769,14 +775,14 @@ func (s *session) addTaskBatch(b budget, ts []partfeas.Task, dls []int64, mode o
 			return BatchAdmissionResponse{}, err
 		}
 		admitted = append(admitted, part...)
-		committed = slices.Contains(part, true)
-		if committed {
+		if slices.Contains(part, true) {
 			s.armEngine()
 		}
 		res, i = r, i+n
 	}
-	if stepwise && s.armed() {
-		res, committed = s.eng.Result(), true
+	committed := slices.Contains(admitted, true)
+	if committed {
+		res = s.eng.Result()
 	}
 	if s.mx != nil {
 		d := time.Since(start)
@@ -804,10 +810,8 @@ func (s *session) engineBatch(ts []partfeas.Task, cs dbf.Set, mode online.BatchM
 // batchResponse answers a batch over the session's committed set. The
 // admitted tasks were appended in input order, so they are the last
 // NAdmitted resident tasks, and each one's machine is its entry at that
-// index in res: res covers the committed set whenever anything was
-// admitted (a disarmed best-effort batch's last witness covers it plus
-// one rejected candidate). committed says whether res is the engine's
-// state (see loadsText).
+// index in res, the engine's state whenever anything was admitted.
+// committed says whether res is the engine's state (see loadsText).
 func (s *session) batchResponse(mode online.BatchMode, admitted []bool, res partition.Result, committed bool) BatchAdmissionResponse {
 	n := 0
 	for _, ok := range admitted {
@@ -946,7 +950,9 @@ var errNoEngine = &httpError{code: http.StatusConflict, msg: "session has no arm
 // the paper's sorted first-fit over the same task multiset, optionally
 // applying up to maxMoves migrations. Sorted sessions report zero drift
 // by construction; arrival sessions accumulate it and drain it here.
-func (s *session) repartition(ctx context.Context, maxMoves int, apply bool) (RepartitionResponse, error) {
+// Like every op it checks b once, before the WAL append: a plan or an
+// apply that outlives the deadline still answers with its result.
+func (s *session) repartition(b budget, maxMoves int, apply bool) (RepartitionResponse, error) {
 	defer s.dur.rlock()()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -959,7 +965,7 @@ func (s *session) repartition(ctx context.Context, maxMoves int, apply bool) (Re
 	if !s.armed() {
 		return RepartitionResponse{}, errNoEngine
 	}
-	if err := ctxGuard(ctx); err != nil {
+	if err := b.guard(); err != nil {
 		return RepartitionResponse{}, err
 	}
 	if apply && s.logging() {
@@ -969,7 +975,6 @@ func (s *session) repartition(ctx context.Context, maxMoves int, apply bool) (Re
 			return RepartitionResponse{}, err
 		}
 	}
-	ctx = s.dur.applyCtx(ctx)
 	pl, err := s.eng.PlanRepartition()
 	if err != nil {
 		return RepartitionResponse{}, &httpError{code: http.StatusInternalServerError, msg: err.Error()}
@@ -993,9 +998,6 @@ func (s *session) repartition(ctx context.Context, maxMoves int, apply bool) (Re
 		}
 		resp.Applied = applied
 		resp.Partial = applied < len(pl.Moves)
-	}
-	if err := ctxGuard(ctx); err != nil {
-		return RepartitionResponse{}, err
 	}
 	// RepartitionResponse encodes through encoding/json, so its test
 	// block carries the loads, not a session's text.

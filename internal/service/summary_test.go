@@ -196,6 +196,8 @@ func (r *refSession) engineBatch(t testing.TB, ts []partfeas.Task, dls []int64, 
 	return res, admitted
 }
 
+// admitBatch runs a batch: a batch that admitted anything answers the
+// resident state after it, one that admitted nothing its last refusal.
 func (r *refSession) admitBatch(t testing.TB, ts []partfeas.Task, dls []int64, mode online.BatchMode) outcome {
 	t.Helper()
 	switch {
@@ -231,8 +233,8 @@ func (r *refSession) admitBatch(t testing.TB, ts []partfeas.Task, dls []int64, m
 		}
 		admitted[i] = rep.Accepted
 	}
-	if r.eng != nil {
-		return outcome{full: r.engFull(r.eng.Result()), batch: admitted}
+	if slices.Contains(admitted, true) {
+		return outcome{full: r.current(t), batch: admitted}
 	}
 	return outcome{full: TestResponseFrom(rep), batch: admitted}
 }

@@ -231,8 +231,9 @@ func appendLoads(b []byte, vs []float64, text *[]byte) ([]byte, bool) {
 // formats one float instead of m.
 //
 // It is a cache, not state. It never enters the WAL, snapshots or
-// migration records, so restored and migrated sessions start cold. It
-// is keyed by bits, not value, so −0 keeps encoding as "-0". Only the
+// migration records: a session restored from a snapshot starts cold,
+// and WAL replay and a migration's tail replay run the live op paths,
+// which warm it as they answer. It is keyed by bits, not value, so −0 keeps encoding as "-0". Only the
 // loads of the committed state update it: a refusal's witness loads, the
 // prefix folds at the failure point, are formatted past it, or a head
 // refusal's all-zero witness would evict every entry.
