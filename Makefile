@@ -74,20 +74,21 @@ clustersmoke:
 
 ## fuzz: short smokes of the partition-engine invariant fuzzer, the
 ## online engine's replay (fuzzed op sequences against SelfCheck and a
-## fresh sorted solve), the rational arithmetic differential fuzzer
-## (covers the Add/Cmp fast paths) and the service's wire encoder
-## against encoding/json.
+## fresh sorted solve), the exact EDF test's QPA against its checkpoint
+## scan, the rational arithmetic differential fuzzer (covers the Add/Cmp
+## fast paths) and the service's wire encoder against encoding/json.
 fuzz:
 	$(GO) test ./internal/partition -run Fuzz -fuzz=FuzzPartitionInvariants -fuzztime=10s
 	$(GO) test ./internal/online -run FuzzEngineOps -fuzz=FuzzEngineOps -fuzztime=10s
+	$(GO) test ./internal/dbf -run FuzzFeasibleEDF -fuzz=FuzzFeasibleEDF -fuzztime=10s
 	$(GO) test ./internal/rational -run Fuzz -fuzz=FuzzArithmetic -fuzztime=5s
 	$(GO) test ./internal/service -run Fuzz -fuzz=FuzzWireEncoding -fuzztime=5s
 
 # Packages whose benchmarks make bench records and make benchsmoke runs.
-BENCH_PKGS = ./internal/online ./internal/oplog ./internal/service ./internal/arena ./internal/cluster
+BENCH_PKGS = ./internal/online ./internal/dbf ./internal/oplog ./internal/service ./internal/arena ./internal/cluster
 
-## bench: record the engine, WAL, service (handler ladder row L3), arena
-## and cluster benchmark suites to the next results/BENCH_<n+1>.json,
+## bench: record the engine, exact EDF test, WAL, service (handler
+## ladder row L3), arena and cluster benchmark suites to the next results/BENCH_<n+1>.json,
 ## gated against the newest recorded results/BENCH_<n>.json — the gate
 ## fails if any recorded benchmark slows by more than 25%; new benchmarks
 ## pass through as additions.

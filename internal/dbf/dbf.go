@@ -8,8 +8,10 @@
 //
 //	dbf(t) = Σ_i max(0, ⌊(t − D_i)/P_i⌋ + 1)·C_i
 //
-// never exceeds s·t. The test checks all deadline checkpoints up to a
-// bounded horizon; ApproxFeasibleEDF uses the k-step approximate dbf
+// never exceeds s·t. The test decides every deadline checkpoint up to a
+// bounded horizon, by quick processor-demand analysis (QPA, Zhang &
+// Burns) wherever a plain scan of those checkpoints would answer, and by
+// that scan elsewhere; ApproxFeasibleEDF uses the k-step approximate dbf
 // (exact for the first k jobs of each task, linear beyond), which is the
 // classic (1+1/k)-approximate test.
 //
@@ -174,16 +176,35 @@ var ErrDemandOverflow = errors.New("dbf: demand exceeds int64 range")
 // at the speed, the implicit-deadline subcase (D = P for all tasks) is
 // feasible and everything else falls back to checking up to the maximum
 // deadline-adjusted hyperperiod if affordable.
+//
+// The verdict and error are always those of checkDemand's ascending scan
+// over the horizon. Where that scan provably answers without an error
+// (scanAnswers), QPA reaches the same verdict from a handful of demand
+// evaluations instead.
 func FeasibleEDF(s Set, speed float64) (bool, error) {
+	horizon, ok, err := edfHorizon(s, speed)
+	switch {
+	case horizon == 0:
+		return ok, err
+	case scanAnswers(s, horizon):
+		return qpa(s, speed, horizon), nil
+	}
+	return checkDemand(s, speed, horizon)
+}
+
+// edfHorizon validates the set and the speed and returns the checkpoint
+// horizon FeasibleEDF decides over, or horizon 0 with the answer when
+// no checkpoint needs checking.
+func edfHorizon(s Set, speed float64) (horizon int64, ok bool, err error) {
 	if err := s.Validate(); err != nil {
-		return false, err
+		return 0, false, err
 	}
 	if speed <= 0 || math.IsNaN(speed) || math.IsInf(speed, 0) {
-		return false, fmt.Errorf("dbf: speed %v must be positive and finite", speed)
+		return 0, false, fmt.Errorf("dbf: speed %v must be positive and finite", speed)
 	}
 	u := s.TotalUtilization()
 	if u > speed*(1+1e-12) {
-		return false, nil
+		return 0, false, nil
 	}
 	implicit := true
 	var maxD int64
@@ -196,9 +217,8 @@ func FeasibleEDF(s Set, speed float64) (bool, error) {
 		}
 	}
 	if implicit {
-		return u <= speed*(1+1e-12), nil
+		return 0, u <= speed*(1+1e-12), nil
 	}
-	var horizon int64
 	if u < speed*(1-1e-9) {
 		num := 0.0
 		for _, t := range s {
@@ -210,7 +230,7 @@ func FeasibleEDF(s Set, speed float64) (bool, error) {
 		// int64(huge float) is implementation-defined garbage. Same guarded
 		// bound as the hyperperiod branch below.
 		if la >= float64(1<<62) {
-			return false, ErrHorizonTooLarge
+			return 0, false, ErrHorizonTooLarge
 		}
 		horizon = int64(math.Ceil(la))
 		if horizon < maxD {
@@ -222,16 +242,102 @@ func FeasibleEDF(s Set, speed float64) (bool, error) {
 		for _, t := range s {
 			g := gcd(hp, t.Period)
 			if q := hp / g; t.Period > (1<<62)/q {
-				return false, ErrHorizonTooLarge
+				return 0, false, ErrHorizonTooLarge
 			}
 			hp = hp / g * t.Period
 		}
 		if hp > (1<<62)-maxD {
-			return false, ErrHorizonTooLarge
+			return 0, false, ErrHorizonTooLarge
 		}
 		horizon = hp + maxD
 	}
-	return checkDemand(s, speed, horizon)
+	return horizon, false, nil
+}
+
+// scanAnswers reports whether checkDemand(s, ·, horizon) is certain to
+// return a verdict rather than an error: the deadlines up to the horizon
+// number at most maxCheckpoints, counted per task (so coinciding
+// deadlines count more than once), and the demand at the horizon fits
+// int64, so the demand at every earlier checkpoint does too. Its answer
+// is then exactly whether some checkpoint ≤ horizon violates.
+func scanAnswers(s Set, horizon int64) bool {
+	var n int64
+	for _, t := range s {
+		if t.Deadline <= horizon {
+			if n += (horizon-t.Deadline)/t.Period + 1; n > maxCheckpoints {
+				return false
+			}
+		}
+	}
+	_, ok := s.dbfChecked(horizon)
+	return ok
+}
+
+// qpa is quick processor-demand analysis (Zhang & Burns, IEEE TC 2009)
+// over the checkpoints up to a horizon on which scanAnswers holds, with
+// checkDemand's comparison. It walks the checkpoints downwards: when a
+// checkpoint t passes, every checkpoint in [x, t] passes too, where x is
+// the least time whose capacity reaches dbf(t) — dbf and the capacity
+// are both non-decreasing — so the walk continues from the last
+// checkpoint before x.
+func qpa(s Set, speed float64, horizon int64) bool {
+	for t := lastDeadline(s, horizon); t > 0; {
+		var d int64 // dbf(t) ≤ dbf(horizon), which fits int64
+		for _, tk := range s {
+			if t >= tk.Deadline {
+				d += ((t-tk.Deadline)/tk.Period + 1) * tk.WCET
+			}
+		}
+		fd := float64(d)
+		if fd > speed*float64(t)*(1+1e-12) {
+			return false
+		}
+		t = lastDeadline(s, leastCapacity(fd, speed, t)-1)
+	}
+	return true
+}
+
+// lastDeadline returns the latest absolute deadline D_i + j·P_i ≤ v, or
+// 0 when every first deadline lies past v.
+func lastDeadline(s Set, v int64) int64 {
+	var last int64
+	for _, t := range s {
+		if t.Deadline <= v {
+			last = max(last, v-(v-t.Deadline)%t.Period)
+		}
+	}
+	return last
+}
+
+// leastCapacity returns the least x ≥ 0 whose capacity, evaluated
+// exactly as checkDemand evaluates it, reaches fd, given that t's does.
+// Below 2^52 the quotient estimate is within a few units of x, so a
+// short walk corrects it; above, where float64(x) is no longer exact for
+// every x, a binary search over [0, t] finds it.
+func leastCapacity(fd, speed float64, t int64) int64 {
+	reaches := func(x int64) bool { return speed*float64(x)*(1+1e-12) >= fd }
+	x := t
+	if g := math.Ceil(fd / (speed * (1 + 1e-12))); g < float64(t) {
+		x = int64(g)
+	}
+	if x < 1<<52 {
+		for x < t && !reaches(x) {
+			x++
+		}
+		for x > 0 && reaches(x-1) {
+			x--
+		}
+		return x
+	}
+	lo, hi := int64(0), t // reaches(hi); fd ≥ 1, so never reaches(0)
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; reaches(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
 }
 
 // checkDemand enumerates absolute deadlines t ≤ horizon and verifies

@@ -1,6 +1,7 @@
 package dbf
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -293,20 +294,28 @@ func min64(a, b int64) int64 {
 	return b
 }
 
+// BenchmarkFeasibleEDF times the exact single-machine test on n
+// constrained tasks with periods in [10, 999], deadlines 60–100% of the
+// period and total utilization 0.8 on a unit-speed machine, where the
+// La horizon spans many checkpoints.
 func BenchmarkFeasibleEDF(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	s := make(Set, 12)
-	for i := range s {
-		p := int64(10 + rng.Intn(100))
-		d := int64(5 + rng.Intn(int(p-4)))
-		c := int64(1 + rng.Intn(4))
-		s[i] = Task{WCET: c, Deadline: d, Period: p}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FeasibleEDF(s, 1); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{5, 20, 40} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(7))
+			s := make(Set, n)
+			for i := range s {
+				p := int64(10 + rng.Intn(990))
+				c := max(1, int64(0.8/float64(n)*float64(p)*(0.5+rng.Float64())))
+				d := max(c, int64(float64(p)*(0.6+0.4*rng.Float64())))
+				s[i] = Task{WCET: c, Deadline: d, Period: p}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := FeasibleEDF(s, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

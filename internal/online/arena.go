@@ -31,6 +31,5 @@ func (e *Engine) recycleMach(mc mach) {
 	mc.cumNum = mc.cumNum[:0]
 	mc.cumInvP = mc.cumInvP[:0]
 	mc.cumMaxD = mc.cumMaxD[:0]
-	mc.gen = 0
 	e.machPool = append(e.machPool, mc)
 }

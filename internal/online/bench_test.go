@@ -203,6 +203,122 @@ func BenchmarkOnlineAdmitShapes(b *testing.B) {
 	}
 }
 
+// BenchmarkOnlineUpdateWCET measures one WCET update round trip
+// through UpdateWCETSummary, the call a served session makes, on the
+// m=64, n=1000 instance: a random resident's WCET rises by 20–100%, then
+// goes back. ns/update is the mean of the two updates.
+func BenchmarkOnlineUpdateWCET(b *testing.B) {
+	ts, p := benchInstance()
+	e, err := NewEngine(ts, p, Options{Admission: partition.EDFAdmission{}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := rng.Intn(len(ts))
+		w := ts[id].WCET
+		if _, err := e.UpdateWCETSummary(id, w+max(1, w*int64(20+rng.Intn(81))/100), false); err != nil {
+			b.Fatal(err)
+		}
+		if sum, err := e.UpdateWCETSummary(id, w, false); err != nil || !sum.Feasible {
+			b.Fatalf("restore: %+v err=%v", sum, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/2, "ns/update")
+}
+
+// dbfHeadInstance is the open-tenant workload's constrained session
+// shape at n tasks, drawn from seed: m=16 machines with speeds in
+// [0.3, 0.95], periods in [100, 999], ~40% load and deadlines 60–100% of
+// the period.
+func dbfHeadInstance(seed int64, n int) (task.Set, []int64, machine.Platform) {
+	rng := rand.New(rand.NewSource(seed))
+	speeds := make([]float64, 16)
+	var total float64
+	for j := range speeds {
+		speeds[j] = 0.3 + 0.65*rng.Float64()
+		total += speeds[j]
+	}
+	ts := make(task.Set, n)
+	dls := make([]int64, n)
+	for i := range ts {
+		per := int64(100 + rng.Intn(900))
+		u := 0.4 * total / float64(n) * (0.5 + rng.Float64())
+		ts[i] = task.Task{WCET: max(1, int64(u*float64(per))), Period: per}
+		dls[i] = min(max(int64(float64(per)*(0.6+0.4*rng.Float64())), ts[i].WCET), per)
+	}
+	return ts, dls, machine.New(speeds...)
+}
+
+// BenchmarkOnlineDBFHead times the constrained engine's costliest ops
+// at n=300 against a fresh build, on the instances of seeds 1–12: the
+// exact test's cost varies tenfold between instances, so one op is the
+// op on all twelve. build is NewEngine; remove takes out the head of the
+// placement order, so every later task replays through the DBF tiers;
+// wcet halves the head's WCET. Each op is undone untimed.
+func BenchmarkOnlineDBFHead(b *testing.B) {
+	type inst struct {
+		ts  task.Set
+		p   machine.Platform
+		opt Options
+		e   *Engine
+	}
+	insts := make([]inst, 12)
+	for i := range insts {
+		in := &insts[i]
+		var dls []int64
+		in.ts, dls, in.p = dbfHeadInstance(int64(i+1), 300)
+		in.opt = Options{Deadlines: dls}
+		var err error
+		if in.e, err = NewEngine(in.ts, in.p, in.opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("build", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, in := range insts {
+				if _, err := NewEngine(in.ts, in.p, in.opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("remove", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, in := range insts {
+				id := int(in.e.sorted[0])
+				t := in.e.ConstrainedTasks()[id]
+				if _, ok, err := in.e.Remove(id); err != nil || !ok {
+					b.Fatalf("remove: ok=%v err=%v", ok, err)
+				}
+				b.StopTimer()
+				if _, ok, err := in.e.AdmitConstrained(t); err != nil || !ok {
+					b.Fatalf("re-admit: ok=%v err=%v", ok, err)
+				}
+				b.StartTimer()
+			}
+		}
+	})
+	b.Run("wcet", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, in := range insts {
+				id := int(in.e.sorted[0])
+				w := in.e.tasks[id].WCET
+				if _, ok, err := in.e.UpdateWCET(id, max(1, w/2)); err != nil || !ok {
+					b.Fatalf("halve: ok=%v err=%v", ok, err)
+				}
+				b.StopTimer()
+				if _, ok, err := in.e.UpdateWCET(id, w); err != nil || !ok {
+					b.Fatalf("restore: ok=%v err=%v", ok, err)
+				}
+				b.StartTimer()
+			}
+		}
+	})
+}
+
 // BenchmarkFullResolveAdmit measures the path the engine replaces: the
 // session's legacy admit, which clones the candidate set and re-solves
 // the whole instance from scratch (NewSolver + Solve) per mutation.
@@ -302,7 +418,7 @@ var benchDBFProbes = []struct {
 
 // BenchmarkOnlineAdmitDBF measures one constrained admit+remove round
 // trip at the acceptance scale through the engine's two tiers (density
-// pre-filter, then the memoized exact test). Each run also exports the
+// pre-filter, then the exact test). Each run also exports the
 // fraction of feasibility decisions the density tier answered as
 // "cheap-tier-rate". The rows keep their "tiered/" prefix so results
 // line up with the recorded BENCH files. The engine is built once and
@@ -317,8 +433,8 @@ func BenchmarkOnlineAdmitDBF(b *testing.B) {
 	}
 	for _, probe := range benchDBFProbes {
 		b.Run("tiered/"+probe.name, func(b *testing.B) {
-			// One untimed round trip warms the arenas and the exact-probe
-			// memo to their steady-state shape.
+			// One untimed round trip warms the arenas and the exact
+			// probe's candidate buffer to their steady-state shape.
 			if _, ok, err := e.AdmitConstrained(probe.tk); err != nil || !ok {
 				b.Fatalf("warm admit: ok=%v err=%v", ok, err)
 			}

@@ -82,7 +82,7 @@ func checkOp(t *testing.T, ctx string, res partition.Result, ok bool, opErr erro
 // assignment must be identical to a fresh dbf.FirstFit (exact-admission)
 // solve over the surviving multiset — no matter which tier answered.
 // Options.ApproxK is ignored, so the three k sub-tests run the same
-// density-and-memoized-exact pipeline on different seeds. The three
+// density-and-exact pipeline on different seeds. The three
 // sub-tests × instances × ops exceed 10k compared mutations.
 func TestEngineDBFSortedDifferential(t *testing.T) {
 	const (
@@ -255,11 +255,11 @@ func TestEngineDBFTierCounts(t *testing.T) {
 	}
 }
 
-// TestEngineDBFMemoSpliceGeneration: a local removal that leaves a
-// machine non-empty with nothing to re-place must still give it a fresh
-// generation, or the exact-tier memo answers the new resident set with a
-// verdict cached for an older one. The probe p (C = D, so only the exact
-// tier can decide it) fits an empty machine but not one holding a.
+// TestEngineDBFMemoSpliceGeneration: after a local removal that leaves
+// a machine non-empty with nothing to re-place (a splice), the exact
+// tier must decide a probe against the machine's new resident set, not
+// an earlier one. The probe p (C = D, so only the exact tier can decide
+// it) fits an empty machine but not one holding a.
 func TestEngineDBFMemoSpliceGeneration(t *testing.T) {
 	p := dbf.Task{Name: "p", WCET: 2, Deadline: 2, Period: 8}
 	a := dbf.Task{Name: "a", WCET: 1, Deadline: 2, Period: 8}

@@ -9,8 +9,9 @@ package online
 //	                    to FeasibleEDF's own, and a total density under
 //	                    the speed accepts wherever dbf.HorizonSafe proves
 //	                    the exact test would answer rather than fail.
-//	tier 2 (exact):     dbf.FeasibleEDF over the candidate, memoized
-//	                    against the machine's generation.
+//	tier 2 (exact):     dbf.FeasibleEDF over the candidate, which decides
+//	                    by QPA wherever its checkpoint scan would answer,
+//	                    with no cache in front of it.
 //
 // Every density verdict is conclusive: it equals what FeasibleEDF would
 // return for the same candidate, errors included, which is what keeps the
@@ -18,12 +19,6 @@ package online
 // dbf.FirstFit solve (the property the differential tests enforce). Any
 // probe inside the margin band or over an unsafe horizon falls through to
 // the exact test.
-//
-// The exact-tier memo is keyed by (machine, generation, candidate
-// parameters). Every change to a machine's placed list — a placement, or
-// the truncation makeDirty and splice perform — mints a fresh generation
-// from a never-reused global counter, so entries written during a
-// later-rolled-back mutation can never collide with a live state.
 
 import (
 	"fmt"
@@ -39,9 +34,6 @@ const (
 	// engines. It is input validation: constrained admission has always
 	// refused longer periods.
 	maxConstrainedPeriod = int64(1) << 40
-	// dbfMemoCap bounds the exact-tier memo; the map is emptied (keeping
-	// its buckets) when it fills.
-	dbfMemoCap = 4096
 )
 
 // Tier indices recorded by noteTier (LastOpStats().MaxTier).
@@ -49,14 +41,6 @@ const (
 	tierDensity = 1
 	tierExact   = 2
 )
-
-// dbfMemoKey identifies one exact-tier verdict: the machine, its
-// generation, and the candidate task's parameters.
-type dbfMemoKey struct {
-	j       int32
-	gen     uint64
-	c, d, p int64
-}
 
 // validateConstrained is the admission-time validity check for one
 // constrained task: well-formed (C ≤ D ≤ P) and under the period cap.
@@ -170,12 +154,6 @@ func (e *Engine) noteTier(t int) {
 	e.tierCnt[t-1]++
 }
 
-// nextGen mints a fresh, never-reused machine generation.
-func (e *Engine) nextGen() uint64 {
-	e.genCtr++
-	return e.genCtr
-}
-
 // fitsDBF answers the DBF admission query for task id against machine
 // j's first x placements: its current state when x = len(placed), or an
 // untouched machine's historical prefix. The verdict equals
@@ -205,25 +183,7 @@ func (e *Engine) fitsDBF(j int, id int32, x int) bool {
 		return true
 	}
 	e.noteTier(tierExact)
-	if x < len(mc.placed) {
-		// A historical prefix has no generation; probe it fresh.
-		ok, _ := e.exactFits(j, id, x)
-		return ok
-	}
-	key := dbfMemoKey{j: int32(j), gen: mc.gen, c: t.WCET, d: d, p: t.Period}
-	if v, ok := e.memo[key]; ok {
-		return v
-	}
-	ok, err := e.exactFits(j, id, x)
-	if err != nil {
-		return false
-	}
-	if e.memo == nil {
-		e.memo = make(map[dbfMemoKey]bool, 64)
-	} else if len(e.memo) >= dbfMemoCap {
-		clear(e.memo)
-	}
-	e.memo[key] = ok
+	ok, _ := e.exactFits(j, id, x)
 	return ok
 }
 
@@ -258,8 +218,7 @@ func (e *Engine) exactFits(j int, id int32, x int) (bool, error) {
 	return ok, err
 }
 
-// placeDBF extends machine j's DBF folds with task id and mints the
-// machine a fresh generation. The caller (place) invokes it before
+// placeDBF extends machine j's DBF folds with task id. The caller (place) invokes it before
 // appending to the placed list, so the fold tails describe the
 // pre-placement residents.
 func (e *Engine) placeDBF(j int, id int32) {
@@ -270,7 +229,6 @@ func (e *Engine) placeDBF(j int, id int32) {
 	mc.cumNum = append(mc.cumNum, mc.numLoad()+float64(t.Period-d)*e.utils[id])
 	mc.cumInvP = append(mc.cumInvP, mc.invPLoad()+1/float64(t.Period))
 	mc.cumMaxD = append(mc.cumMaxD, max(mc.maxDLoad(), d))
-	mc.gen = e.nextGen()
 }
 
 // selfCheckDBF extends SelfCheck with the constrained-deadline

@@ -124,11 +124,6 @@ type mach struct {
 	cumNum  []float64
 	cumInvP []float64
 	cumMaxD []int64
-	// gen is the machine's generation (admDBF only): a globally unique,
-	// monotone stamp refreshed on every change to the placed list, which
-	// keys the exact-tier memo (stale entries can never collide because
-	// generations are never reused, even across rollbacks).
-	gen uint64
 }
 
 func (mc *mach) load() float64 {
@@ -301,11 +296,9 @@ type Engine struct {
 	// Constrained-deadline state (admDBF only; see dbfstate.go).
 	dl       []int64   // task id → relative deadline
 	dens     []float64 // task id → density C/D
-	genCtr   uint64    // monotone source for mach.gen
 	tierCnt  [2]uint64 // cumulative probes decided per tier (density, exact)
-	memo     map[dbfMemoKey]bool
-	candBuf  dbf.Set // scratch candidate for exact probes
-	probeErr error   // first exact-test error of the in-flight mutation
+	candBuf  dbf.Set   // scratch candidate for exact probes
+	probeErr error     // first exact-test error of the in-flight mutation
 }
 
 // initState builds everything that does not depend on where tasks end
@@ -717,7 +710,6 @@ func (e *Engine) truncate(j, x int) []int32 {
 		nm.cumNum = append(nm.cumNum, mc.cumNum[:x]...)
 		nm.cumInvP = append(nm.cumInvP, mc.cumInvP[:x]...)
 		nm.cumMaxD = append(nm.cumMaxD, mc.cumMaxD[:x]...)
-		nm.gen = e.nextGen()
 	}
 	old := mc.placed
 	*mc = nm
@@ -893,7 +885,7 @@ func (e *Engine) replayFrom(k int) int {
 	// Active run: truncated tasks re-folding onto machine runF (-2 when
 	// none; -1 would collide with a fresh task's unassigned machine).
 	// Run fusion is disabled for admDBF — the fused inner loop appends
-	// only the utilization folds (no DBF folds, no fresh generation), and
+	// only the utilization folds (no DBF folds), and
 	// a DBF admission is not a pure fold over the carried locals anyway —
 	// so runF stays -2 and every placement takes the general path.
 	runF := -2

@@ -40,7 +40,7 @@ type Policy interface {
 	// Select returns the machine (input index) for task id against the
 	// engine's current aggregates, or -1 when no machine admits it.
 	// Select must not mutate engine state beyond what View's query
-	// methods do internally (capacity-tree refresh, probe memoization).
+	// methods do internally (capacity-tree refresh, tier counters).
 	Select(v View, id int32) int
 }
 

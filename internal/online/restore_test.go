@@ -27,9 +27,8 @@ func sameFloatBits(t *testing.T, ctx string, got, want []float64) {
 
 // sameEngineState asserts the restored engine reproduced the original
 // bit for bit: placement order, positions, assignments, and every
-// per-machine fold sequence (caches like the capacity tree and the
-// memo generation stamps are excluded — they are lazily derived and
-// never affect verdicts).
+// per-machine fold sequence (caches like the capacity tree are
+// excluded — they are lazily derived and never affect verdicts).
 func sameEngineState(t *testing.T, ctx string, got, want *Engine) {
 	t.Helper()
 	if !reflect.DeepEqual(got.sorted, want.sorted) {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -154,6 +155,43 @@ func TestDisarmedBatchAnswersState(t *testing.T) {
 		t.Fatalf("batch admitted %v on machines %v, want [true false] on %v", resp.Admitted, resp.Machines, want)
 	}
 	checkSummary(t, "disarmed batch", resp.Test, state.Test)
+}
+
+// TestRearmAnswersState: a single op that re-arms a disarmed
+// local-policy session answers the state the session keeps, its own
+// policy's placement, not the sorted engine's it re-armed from. The
+// best_fit session opens disarmed (best_fit cannot place the sixth
+// task; sorted first-fit can); removing task 2 makes best_fit's
+// placement feasible again.
+func TestRearmAnswersState(t *testing.T) {
+	s := newTestServer(t)
+	w := do(t, s, http.MethodPost, "/v1/sessions", `{"placement":"best_fit","speeds":[1,1,1],"tasks":[`+
+		`{"wcet":52,"period":100},{"wcet":14,"period":100},{"wcet":69,"period":100},`+
+		`{"wcet":60,"period":100},{"wcet":29,"period":100},{"wcet":43,"period":100}]}`)
+	if w.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", w.Code, w.Body)
+	}
+	w = do(t, s, http.MethodDelete, "/v1/sessions/s-1/tasks/2", "")
+	if w.Code != http.StatusOK {
+		t.Fatalf("remove: %d %s", w.Code, w.Body)
+	}
+	get := do(t, s, http.MethodGet, "/v1/sessions/s-1", "")
+	var state SessionResponse
+	if err := json.Unmarshal(get.Body.Bytes(), &state); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := state.Test.Assignment, []int{0, 0, 1, 0, 2}; !slices.Equal(got, want) {
+		t.Fatalf("assignment after the re-arm = %v, want best_fit's %v", got, want)
+	}
+	if got, want := string(loadsOf(t, w.Body.Bytes())), "[0.95,0.6,0.43]"; got != want {
+		t.Fatalf("remove answered loads %s, want %s", got, want)
+	}
+	if got, want := loadsOf(t, w.Body.Bytes()), loadsOf(t, get.Body.Bytes()); !bytes.Equal(got, want) {
+		t.Fatalf("remove answered loads %s, next GET %s", got, want)
+	}
+	if w := do(t, s, http.MethodPost, "/v1/sessions/s-1/repartition", `{}`); w.Code != http.StatusOK {
+		t.Fatalf("repartition on the re-armed session: %d %s, want 200", w.Code, w.Body)
+	}
 }
 
 // TestSessionAdmitBatchValidation covers the endpoint's guards.

@@ -203,10 +203,11 @@ func TestInfeasibleFallback(t *testing.T) {
 			armed("remove", false)
 			state("remove", fresh(set, 1))
 
-			// WCET lower on the hog restores feasibility and re-arms.
+			// WCET lower on the hog restores feasibility and re-arms; the
+			// answer is the re-armed engine's state, the one it keeps.
 			set[3].WCET = 50
 			ar = mutate("wcet lower", "/wcet", `{"index":3,"wcet":50}`)
-			admission("wcet lower", ar, true, len(set), fresh(set, 1), 3)
+			admission("wcet lower", ar, true, len(set), rearmed(set), 3)
 			armed("wcet lower", true)
 			state("wcet lower", rearmed(set))
 
@@ -215,7 +216,7 @@ func TestInfeasibleFallback(t *testing.T) {
 			witness("force hog again", ar, append(set.Clone(), hog))
 			armed("force hog again", false)
 			ar = remove("remove hog", 4)
-			admission("remove hog", ar, true, len(set), fresh(set, 1), -1)
+			admission("remove hog", ar, true, len(set), rearmed(set), -1)
 			armed("remove hog", true)
 			state("remove hog", rearmed(set))
 

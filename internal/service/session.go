@@ -39,7 +39,8 @@ import (
 // engine refuses a forced commit, or that opens or restores infeasible,
 // is disarmed: it holds a first_fit_sorted engine, whose answers are the
 // paper's batch test, and rebuilds its own policy engine after the next
-// committed op whose sorted result is feasible (armEngine).
+// committed op whose sorted result is feasible (armEngine). That op
+// answers the rebuilt engine's state, the one the session keeps.
 //
 // Placement is the engine's placement policy (online.Policy):
 // first_fit_sorted sessions stay byte-identical to the paper's fresh
@@ -448,20 +449,6 @@ func (s *session) armEngine() {
 	}
 }
 
-// committed finishes an implicit session's committed op, given the
-// engine's verdict ok: a feasible result may re-arm the session, and a
-// refusal its local-policy engine could not hold disarms it, with no
-// re-arm attempt even when the sorted set is feasible. Caller holds s.mu.
-func (s *session) committed(ok bool) error {
-	switch {
-	case ok:
-		s.armEngine()
-	case !s.holds():
-		return s.disarm()
-	}
-	return nil
-}
-
 // budget is a request's one deadline: the request's context, whose Err
 // reports a client that went away, and the instant its time budget runs
 // out (zero: none). Every route builds one (Server.budget). A session op
@@ -656,17 +643,38 @@ func (s *session) addTask(b budget, t partfeas.Task, dl int64, force bool) (Admi
 		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
 	}
 	s.observeAdmission(start)
-	resp := s.admission(sum, sum.Feasible || forced)
-	resp.Admitted = sum.Feasible || force
-	resp.RolledBack = !resp.Admitted
-	if resp.Admitted {
+	admitted := sum.Feasible || force
+	if admitted {
 		s.in.Tasks = append(s.in.Tasks, t)
-		if err := s.committed(sum.Feasible); err != nil {
+		if sum, err = s.commit(sum, len(s.in.Tasks)-1); err != nil {
 			return AdmissionResponse{}, err
 		}
 	}
+	resp := s.admission(sum, sum.Feasible || forced)
+	resp.Admitted, resp.RolledBack = admitted, !admitted
 	resp.NTasks = len(s.in.Tasks)
 	return resp, nil
+}
+
+// commit finishes a committed single op whose engine answered sum and
+// returns the op's answer. A feasible result may re-arm the session;
+// the answer then reads the loads and the machine of task op (-1: none)
+// from the re-armed engine, whose state the session keeps. A refusal its
+// local-policy engine could not hold disarms it, with no re-arm attempt
+// even when the sorted set is feasible. Caller holds s.mu.
+func (s *session) commit(sum online.Summary, op int) (online.Summary, error) {
+	switch {
+	case sum.Feasible:
+		eng := s.eng
+		s.armEngine()
+		if s.eng != eng {
+			res := s.eng.Result()
+			sum.Loads, sum.Machine = res.Loads, machineOf(res, op)
+		}
+	case !s.holds():
+		return sum, s.disarm()
+	}
+	return sum, nil
 }
 
 // admission answers an admit or a WCET update from the engine's summary:
@@ -880,15 +888,16 @@ func (s *session) removeTask(b budget, idx int) (AdmissionResponse, error) {
 		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
 	}
 	ok := sum.Feasible
-	resp := AdmissionResponse{Admitted: ok, RolledBack: !(ok || forced), Test: s.summary(ok, sum.FailedTask, sum.Loads, ok || forced)}
-	if !resp.RolledBack {
+	rolledBack := !(ok || forced)
+	if !rolledBack {
 		// The engine holds its own copy of the tasks, so the session's
 		// slice is deleted from in place.
 		s.in.Tasks = slices.Delete(s.in.Tasks, idx, idx+1)
-		if err := s.committed(ok); err != nil {
+		if sum, err = s.commit(sum, -1); err != nil {
 			return AdmissionResponse{}, err
 		}
 	}
+	resp := AdmissionResponse{Admitted: ok, RolledBack: rolledBack, Test: s.summary(ok, sum.FailedTask, sum.Loads, ok || forced)}
 	resp.NTasks = len(s.in.Tasks)
 	return resp, nil
 }
@@ -929,15 +938,15 @@ func (s *session) updateWCET(b budget, idx int, wcet int64, force bool) (Admissi
 	if err != nil {
 		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
 	}
-	resp := s.admission(sum, sum.Feasible || forced)
-	resp.Admitted = sum.Feasible || force
-	resp.RolledBack = !resp.Admitted
-	if resp.Admitted {
+	admitted := sum.Feasible || force
+	if admitted {
 		s.in.Tasks[idx].WCET = wcet
-		if err := s.committed(sum.Feasible); err != nil {
+		if sum, err = s.commit(sum, idx); err != nil {
 			return AdmissionResponse{}, err
 		}
 	}
+	resp := s.admission(sum, sum.Feasible || forced)
+	resp.Admitted, resp.RolledBack = admitted, !admitted
 	resp.NTasks = len(s.in.Tasks)
 	return resp, nil
 }

@@ -112,6 +112,15 @@ func (r *refSession) current(t testing.TB) TestResponse {
 	return r.engFull(r.eng.Result())
 }
 
+// rearmed is a disarmed op's answer: the batch test's report rep, or,
+// when the op re-armed the session, the state of the engine it re-armed.
+func (r *refSession) rearmed(rep partfeas.Report) TestResponse {
+	if r.eng != nil {
+		return r.engFull(r.eng.Result())
+	}
+	return TestResponseFrom(rep)
+}
+
 // change runs an admit (idx = len) or a WCET update (idx < len): cand is
 // the tentative set, try the engine's answer while armed.
 func (r *refSession) change(t testing.TB, cand partfeas.TaskSet, idx int, force bool, try func() (partition.Result, bool, error)) outcome {
@@ -122,7 +131,7 @@ func (r *refSession) change(t testing.TB, cand partfeas.TaskSet, idx int, force 
 		if ok {
 			r.commit(cand, rep.Accepted)
 		}
-		return outcome{full: TestResponseFrom(rep), admitted: ok, rolledBack: !ok, task: idx}
+		return outcome{full: r.rearmed(rep), admitted: ok, rolledBack: !ok, task: idx}
 	}
 	res, ok, err := try()
 	if err != nil {
@@ -160,7 +169,7 @@ func (r *refSession) remove(t testing.TB, idx int) outcome {
 	if r.eng == nil {
 		rep := r.fresh(t, cand)
 		r.commit(cand, rep.Accepted)
-		return outcome{full: TestResponseFrom(rep), admitted: rep.Accepted, task: -1}
+		return outcome{full: r.rearmed(rep), admitted: rep.Accepted, task: -1}
 	}
 	res, ok, err := r.eng.Remove(idx)
 	if err != nil {
@@ -245,6 +254,7 @@ type diffCase struct {
 	constrained                bool
 	force                      bool // draw forced ops (and utilization-3 hogs)
 	disarm                     bool // open by force-admitting a hog
+	openHog                    bool // open infeasible: the create set holds a hog
 }
 
 // TestMutationSummaryDifferential drives seeded op mixes through the
@@ -261,6 +271,7 @@ func TestMutationSummaryDifferential(t *testing.T) {
 		{name: "first_fit_arrival", placement: "first_fit_arrival", scheduler: "rms"},
 		{name: "constrained", placement: "first_fit_sorted", scheduler: "edf", constrained: true},
 		{name: "force_disarmed", placement: "first_fit_sorted", scheduler: "rms", force: true, disarm: true},
+		{name: "best_fit_disarmed", placement: "best_fit", scheduler: "edf", force: true, openHog: true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
@@ -302,6 +313,11 @@ func runDifferential(t *testing.T, c diffCase, seed int64, ops int) {
 		in.Tasks = append(in.Tasks, tk)
 		dls = append(dls, tj.Deadline)
 	}
+	if c.openHog {
+		hog := TaskJSON{WCET: 300, Period: 100}
+		create.Tasks = append(create.Tasks, hog)
+		in.Tasks = append(in.Tasks, partfeas.Task{WCET: hog.WCET, Period: hog.Period})
+	}
 	in.Scheduler = partfeas.EDF
 	if c.scheduler == "rms" {
 		in.Scheduler = partfeas.RMS
@@ -315,7 +331,11 @@ func runDifferential(t *testing.T, c diffCase, seed int64, ops int) {
 	if c.constrained {
 		ref.opts.Deadlines = dls
 	}
-	if ref.eng, err = online.NewEngine(in.Tasks, in.Platform, ref.opts); err != nil {
+	ref.eng, err = online.NewEngine(in.Tasks, in.Platform, ref.opts)
+	switch {
+	case c.openHog && ref.eng != nil:
+		t.Fatalf("seed %d: the create set with a hog opened armed", seed)
+	case !c.openHog && err != nil:
 		t.Fatalf("seed %d: reference engine: %v", seed, err)
 	}
 	ref.opts.Deadlines = nil // later re-arms are implicit-only
@@ -332,9 +352,10 @@ func runDifferential(t *testing.T, c diffCase, seed int64, ops int) {
 	}
 	base := "/v1/sessions/" + created.ID
 
-	var counts struct{ rolledBack, disarmed, batchAdmits, committed int }
+	var counts struct{ rolledBack, disarmed, batchAdmits, committed, rearms, forcedDisarms int }
 	for op := 0; op < ops; op++ {
 		step := fmt.Sprintf("seed %d op %d", seed, op)
+		wasArmed := ref.eng != nil
 		force := c.force && rng.Intn(4) == 0
 		var o outcome
 		var method, path, mode string
@@ -439,6 +460,12 @@ func runDifferential(t *testing.T, c diffCase, seed int64, ops int) {
 		if ref.eng == nil {
 			counts.disarmed++
 		}
+		switch {
+		case !wasArmed && ref.eng != nil && o.batch == nil:
+			counts.rearms++
+		case wasArmed && ref.eng == nil && c.placement != "first_fit_sorted":
+			counts.forcedDisarms++
+		}
 
 		g := do(t, s, http.MethodGet, base, "")
 		var st struct {
@@ -462,9 +489,10 @@ func runDifferential(t *testing.T, c diffCase, seed int64, ops int) {
 			}
 		}
 	}
-	t.Logf("seed %d: %d ops, %d rolled back, %d answered disarmed, %d batches admitting, %d committed",
-		seed, ops, counts.rolledBack, counts.disarmed, counts.batchAdmits, counts.committed)
-	if counts.rolledBack == 0 || counts.committed == 0 || counts.batchAdmits == 0 || (c.disarm && counts.disarmed == 0) {
+	t.Logf("seed %d: %d ops, %d rolled back, %d answered disarmed, %d batches admitting, %d committed, %d single-op re-arms, %d forced-refusal disarms",
+		seed, ops, counts.rolledBack, counts.disarmed, counts.batchAdmits, counts.committed, counts.rearms, counts.forcedDisarms)
+	if counts.rolledBack == 0 || counts.committed == 0 || counts.batchAdmits == 0 || (c.disarm && counts.disarmed == 0) ||
+		(c.openHog && (counts.rearms == 0 || counts.forcedDisarms == 0)) {
 		t.Fatalf("seed %d: op mix too narrow: %+v", seed, counts)
 	}
 }
