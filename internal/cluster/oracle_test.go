@@ -27,8 +27,10 @@ const oracleSnapshotEvery = 8
 // ops at seeded points. Every response, status and body byte for byte,
 // must equal the answer of a reference durable server that sees the same
 // requests (and X-Session-ID) but is never crashed or migrated. A final
-// phase crashes a replica under concurrent load and checks that every
-// session still answers and no acknowledged admit was lost.
+// phase carries a constrained session's failure state through a
+// migration and a crash-restart (carryFailure), then crashes a replica
+// under concurrent load and checks that every session still answers and
+// no acknowledged admit was lost.
 func TestClusterOracle(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -51,6 +53,7 @@ type oracle struct {
 	ids         []string
 	deleted     []string        // ids of deleted sessions, read back now and then
 	constrained map[string]bool // sessions created with deadline_model "constrained"
+	cons        bool            // the op in flight targets a constrained session
 	nextID      int
 	nextTask    int
 	op          int            // index of the script op in flight
@@ -135,15 +138,19 @@ func (o *oracle) script(n int) {
 			}
 		}
 	}
+	o.carryFailure()
 	for _, op := range oracleOps {
 		if o.compared[op.kind] == 0 {
 			t.Errorf("no %s op compared", op.kind)
 		}
 	}
-	for _, v := range []string{"rolled_back", "forced", "infeasible"} {
+	for _, v := range []string{"rolled_back", "forced", "infeasible", "constrained_forced", "constrained_infeasible_create"} {
 		if o.outcomes[v] == 0 {
 			t.Errorf("no %s outcome seen", v)
 		}
+	}
+	if o.injected["constrained_failing_moved"] == 0 {
+		t.Errorf("no constrained session in a failure state was migrated or crash-restored")
 	}
 	sum := 0
 	for _, k := range o.compared {
@@ -157,6 +164,7 @@ func (o *oracle) step(kind string) {
 	id := o.ids[o.rng.Intn(len(o.ids))]
 	path := "/v1/sessions/" + id
 	cons := o.constrained[id]
+	o.cons = cons
 	switch kind {
 	case "get":
 		if len(o.deleted) > 0 && o.rng.Intn(6) == 0 {
@@ -211,13 +219,21 @@ func (o *oracle) step(kind string) {
 	}
 }
 
-// create opens the next session shape under a test-chosen id.
+// create opens the next session shape under a test-chosen id. Half the
+// constrained sessions open infeasible: five force tasks overfill either
+// constrained shape.
 func (o *oracle) create() {
 	id := fmt.Sprintf("o%d-%d", o.seed, o.nextID)
 	shape := sessionShapes[o.nextID%len(sessionShapes)]
 	o.nextID++
 	cons := strings.Contains(shape, "constrained")
+	o.cons = cons
 	tasks := []string{o.task("interior", cons), o.task("tail", cons), o.task("interior", cons)}
+	if cons && o.rng.Intn(2) == 0 {
+		for i := 0; i < 5; i++ {
+			tasks = append(tasks, o.task("force", cons))
+		}
+	}
 	o.do("create", http.MethodPost, "/v1/sessions", fmt.Sprintf(`{"tasks":[%s],%s}`, strings.Join(tasks, ","), shape), id)
 	o.ids = append(o.ids, id)
 	o.constrained[id] = cons
@@ -226,8 +242,10 @@ func (o *oracle) create() {
 // task draws one task of a kind: tail tasks carry tiny utilization and
 // sort last, interior ones land mid-order, reject ones exceed any
 // machine at any alpha the script uses, and force ones are mostly
-// heavy enough to leave a session infeasible. In a constrained session
-// half of them carry a deadline below the period.
+// heavy enough to leave a session infeasible: utilization 1.5–2.5, or in
+// a constrained session, where C ≤ D ≤ P caps it at 1, C = P − (0..2).
+// In a constrained session half of the tasks with C < P carry a deadline
+// below the period.
 func (o *oracle) task(kind string, constrained bool) string {
 	var p, c int64
 	switch kind {
@@ -243,6 +261,9 @@ func (o *oracle) task(kind string, constrained bool) string {
 	case "force":
 		p = 10 + o.rng.Int63n(10)
 		c = p * (150 + o.rng.Int63n(100)) / 100
+		if constrained {
+			c = p - c%3
+		}
 	}
 	o.nextTask++
 	if constrained && c < p && o.rng.Intn(2) == 0 {
@@ -291,8 +312,25 @@ func (o *oracle) note(kind string, body []byte) {
 		o.outcomes["rolled_back"]++
 	case kind == "force" && v.Admitted && !v.Test.Accepted:
 		o.outcomes["forced"]++
+		if o.cons {
+			o.outcomes["constrained_forced"]++
+		}
 	case kind != "force" && !v.Test.Accepted:
 		o.outcomes["infeasible"]++ // served by the fallback re-solve
+		if o.cons && kind == "create" {
+			o.outcomes["constrained_infeasible_create"]++
+		}
+	}
+}
+
+// noteFailing counts the constrained sessions in a failure state among
+// ids, which a migration or crash-restore is about to carry through a
+// snapshot with engine: false.
+func (o *oracle) noteFailing(ids ...string) {
+	for _, id := range ids {
+		if o.constrained[id] && !o.state(id).Test.Accepted {
+			o.injected["constrained_failing_moved"]++
+		}
 	}
 }
 
@@ -307,9 +345,48 @@ func (o *oracle) state(id string) service.SessionResponse {
 	return sr
 }
 
+// carryFailure drives a constrained session into a failure state with
+// forced admits, then migrates it and crash-restarts its new holder, so
+// the failure state crosses a migration and a recovery, each through a
+// snapshot with engine: false. A GET after each must match the reference.
+func (o *oracle) carryFailure() {
+	var id string
+	for id == "" {
+		for _, v := range o.ids {
+			if o.constrained[v] {
+				id = v
+				break
+			}
+		}
+		if id == "" {
+			o.create()
+		}
+	}
+	path := "/v1/sessions/" + id
+	o.cons = true
+	for i := 0; o.state(id).Test.Accepted; i++ {
+		if i == 20 {
+			o.t.Fatalf("forced admits left %s feasible", id)
+		}
+		o.do("force", http.MethodPost, path+"/tasks", fmt.Sprintf(`{"task":%s,"force":true}`, o.task("force", true)), "")
+	}
+	o.migrateID(id)
+	o.do("get", http.MethodGet, path, "", "")
+	for _, r := range o.reps {
+		if r.url == o.c.routeFor(id) {
+			o.crashRestart(r)
+		}
+	}
+	o.do("get", http.MethodGet, path, "", "")
+}
+
 // migrate force-moves a random session off its current holder.
 func (o *oracle) migrate() {
-	id := o.ids[o.rng.Intn(len(o.ids))]
+	o.migrateID(o.ids[o.rng.Intn(len(o.ids))])
+}
+
+// migrateID force-moves session id off its current holder.
+func (o *oracle) migrateID(id string) {
 	holder := o.c.routeFor(id)
 	var others []string
 	for _, r := range o.reps {
@@ -318,6 +395,7 @@ func (o *oracle) migrate() {
 		}
 	}
 	target := others[o.rng.Intn(len(others))]
+	o.noteFailing(id)
 	code, body, err := send(http.MethodPost, o.base+"/v1/cluster/migrate", fmt.Sprintf(`{"id":%q,"target":%q}`, id, target), "")
 	if err != nil || code != http.StatusOK {
 		o.t.Fatalf("op %d: migrate %s %s→%s: %d %s %v", o.op, id, holder, target, code, body, err)
@@ -341,6 +419,11 @@ func (o *oracle) rebalance() {
 // retries no POST or DELETE, so the next op would read as a 502 that no
 // state divergence caused.
 func (o *oracle) crashRestart(r *testReplica) {
+	for _, id := range o.ids {
+		if o.c.routeFor(id) == r.url {
+			o.noteFailing(id)
+		}
+	}
 	r.crash(o.t)
 	r.restart(o.t)
 	http.DefaultTransport.(*http.Transport).CloseIdleConnections()

@@ -59,9 +59,15 @@ func validateConstrained(t dbf.Task) error {
 // Admit — before the constrained checks, so it meets exactly Admit's
 // validation — and any other deadline is refused.
 func (e *Engine) AdmitConstrained(t dbf.Task) (res partition.Result, admitted bool, err error) {
+	return e.admitConstrained(t, false)
+}
+
+// admitConstrained is AdmitConstrained; force commits a refusal as the
+// failure state.
+func (e *Engine) admitConstrained(t dbf.Task, force bool) (res partition.Result, admitted bool, err error) {
 	tt := task.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
 	if e.kind != admDBF && t.Deadline == t.Period {
-		return e.Admit(tt)
+		return e.admit(tt, force)
 	}
 	if verr := validateConstrained(t); verr != nil {
 		return partition.Result{}, false, fmt.Errorf("online: %w", verr)
@@ -69,7 +75,7 @@ func (e *Engine) AdmitConstrained(t dbf.Task) (res partition.Result, admitted bo
 	if e.kind != admDBF {
 		return partition.Result{}, false, fmt.Errorf("online: implicit-deadline engine cannot admit constrained deadline %d < period %d", t.Deadline, t.Period)
 	}
-	return e.admitOne(tt, t.Deadline, false)
+	return e.admitOne(tt, t.Deadline, force)
 }
 
 // AdmitBatchConstrained is AdmitBatch for constrained-deadline tasks;

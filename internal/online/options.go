@@ -63,9 +63,9 @@ type Options struct {
 
 // NewEngine builds an engine for the task set and platform under opts.
 // The inputs are copied. If the initial set does not place under the
-// policy, NewEngine returns ErrInfeasible; a first_fit_sorted
-// implicit-deadline engine is returned with it, holding the fresh
-// solve's failure state, and every other engine is nil.
+// policy, NewEngine returns ErrInfeasible; a first_fit_sorted engine,
+// implicit-deadline or constrained, is returned with it, holding the
+// fresh solve's failure state, and a local-policy engine is nil.
 func NewEngine(ts task.Set, p machine.Platform, opts Options) (*Engine, error) {
 	pol := opts.Policy
 	if pol == nil {
@@ -152,7 +152,7 @@ func NewEngine(ts task.Set, p machine.Platform, opts Options) (*Engine, error) {
 		return e, nil
 	}
 	if err := e.initPlacement(); err != nil {
-		if errors.Is(err, ErrInfeasible) && e.forcible() == nil {
+		if errors.Is(err, ErrInfeasible) && e.ordered {
 			return e, err
 		}
 		// The constrained pipeline's exact-tier probes can error;

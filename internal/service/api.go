@@ -259,10 +259,11 @@ type CreateSessionRequest struct {
 	// tests utilization bounds with D = P; "constrained" accepts per-task
 	// deadlines D ≤ P and admits through the demand-bound-function test
 	// (density pre-filter, then the exact processor-demand test).
-	// Constrained sessions require the EDF scheduler, are engine-only (no
-	// force commits, no infeasible resident states, no repartition), and
-	// their decisions stay identical to a fresh exact constrained
-	// first-fit solve over the resident set.
+	// Constrained sessions require the EDF scheduler and refuse
+	// repartition; force commits and infeasible resident sets work as in
+	// implicit sessions, and their answers stay identical to a fresh
+	// exact constrained first-fit solve (dbf.FirstFit) over the resident
+	// set, its failure state included.
 	DeadlineModel string `json:"deadline_model,omitempty"`
 	TimeoutMS     int64  `json:"timeout_ms,omitempty"`
 }

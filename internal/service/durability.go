@@ -375,7 +375,11 @@ func applySessionOp(s *session, op *oplog.Op) error {
 		}
 		_, err = s.addTaskBatch(b, ts, dls, mode)
 	case oplog.TypeRemove:
-		_, err = s.removeTask(b, op.Target)
+		// A live remove is forced, but a constrained one logged without
+		// force (older binaries) was rolled back when its shrunken set
+		// re-solved infeasible; it replays so, or every later
+		// index-addressed op would land on a different task.
+		_, err = s.removeTask(b, op.Target, op.Force || !s.constrained)
 	case oplog.TypeUpdateWCET:
 		_, err = s.updateWCET(b, op.Target, op.WCET, op.Force)
 	case oplog.TypeRepartition:
@@ -633,14 +637,11 @@ func (st *sessionStore) restoreSession(ss *sessionSnap) (*session, error) {
 			dls[i] = t.Deadline
 		}
 	}
-	switch {
-	case !ss.Engine && ss.Constrained:
-		return nil, fmt.Errorf("constrained session snapshotted without an engine")
-	case !ss.Engine:
+	if !ss.Engine {
 		// A disarmed session restores onto a first_fit_sorted engine,
 		// which vets the set read from disk like any other input.
-		err = s.disarm()
-	default:
+		err = s.disarm(dls)
+	} else {
 		opts := s.engineOptions(dls)
 		opts.Placed, opts.RepartCnt = snapPlaced(ss.Placed), ss.RepartCnt
 		s.eng, err = online.NewEngine(s.in.Tasks, s.in.Platform, opts)

@@ -419,7 +419,7 @@ func (s *Server) handleSessionRemoveTask(w http.ResponseWriter, r *http.Request)
 	if err != nil {
 		return nil, 0, err
 	}
-	resp, err := sess.removeTask(s.budget(r, 0), idx)
+	resp, err := sess.removeTask(s.budget(r, 0), idx, true)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -113,7 +113,7 @@ func migScript(seed int64, n int, constrained bool) []migOp {
 				if n == 0 {
 					return nil
 				}
-				_, err := s.removeTask(budget{ctx: ctx}, pick%n)
+				_, err := s.removeTask(budget{ctx: ctx}, pick%n, true)
 				return err
 			}
 		case k < 9: // WCET update on a pseudo-random resident
