@@ -27,6 +27,7 @@ import (
 	"sort"
 
 	"partfeas/internal/machine"
+	"partfeas/internal/partition"
 )
 
 // Task is a constrained-deadline sporadic task: jobs need C time units
@@ -505,16 +506,27 @@ func linearBoundHolds(s Set, speed float64) bool {
 // tasks in non-increasing density order, machines in non-decreasing
 // speed order, first machine whose accumulated set stays EDF-feasible at
 // speed α·s. The exact test runs per admission when k <= 0; otherwise
-// the k-step approximate test.
+// the k-step approximate test. It is FirstFitResult's verdict and
+// assignment.
 func FirstFit(s Set, p machine.Platform, alpha float64, k int) (feasible bool, assignment []int, err error) {
+	res, err := FirstFitResult(s, p, alpha, k)
+	return res.Feasible, res.Assignment, err
+}
+
+// FirstFitResult is FirstFit's whole answer. Tasks are taken in density
+// order (ties by deadline, then input index). On rejection FailedTask is
+// the first task no machine admits; it and every later task are
+// unplaced (-1). Loads are each machine's utilization, summed in that
+// same order up to the failure.
+func FirstFitResult(s Set, p machine.Platform, alpha float64, k int) (partition.Result, error) {
 	if err := s.Validate(); err != nil {
-		return false, nil, err
+		return partition.Result{}, err
 	}
 	if err := p.Validate(); err != nil {
-		return false, nil, fmt.Errorf("dbf: %w", err)
+		return partition.Result{}, fmt.Errorf("dbf: %w", err)
 	}
 	if alpha <= 0 || math.IsNaN(alpha) || math.IsInf(alpha, 0) {
-		return false, nil, fmt.Errorf("dbf: alpha %v must be positive", alpha)
+		return partition.Result{}, fmt.Errorf("dbf: alpha %v must be positive", alpha)
 	}
 	order := make([]int, len(s))
 	for i := range order {
@@ -533,9 +545,14 @@ func FirstFit(s Set, p machine.Platform, alpha float64, k int) (feasible bool, a
 	}
 	sort.SliceStable(mOrder, func(a, b int) bool { return p[mOrder[a]].Speed < p[mOrder[b]].Speed })
 
-	assignment = make([]int, len(s))
-	for i := range assignment {
-		assignment[i] = -1
+	res := partition.Result{
+		Assignment: make([]int, len(s)),
+		FailedTask: -1,
+		Loads:      make([]float64, len(p)),
+		Alpha:      alpha,
+	}
+	for i := range res.Assignment {
+		res.Assignment[i] = -1
 	}
 	perMachine := make([]Set, len(p))
 	for _, ti := range order {
@@ -550,20 +567,23 @@ func FirstFit(s Set, p machine.Platform, alpha float64, k int) (feasible bool, a
 				ok, aerr = ApproxFeasibleEDF(candidate, alpha*p[mj].Speed, k)
 			}
 			if aerr != nil {
-				return false, nil, aerr
+				return partition.Result{}, aerr
 			}
 			if ok {
 				perMachine[mj] = candidate
-				assignment[ti] = mj
+				res.Assignment[ti] = mj
+				res.Loads[mj] += s[ti].Utilization()
 				placed = true
 				break
 			}
 		}
 		if !placed {
-			return false, assignment, nil
+			res.FailedTask = ti
+			return res, nil
 		}
 	}
-	return true, assignment, nil
+	res.Feasible = true
+	return res, nil
 }
 
 func gcd(a, b int64) int64 {

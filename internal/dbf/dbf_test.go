@@ -232,6 +232,39 @@ func TestFirstFitConstrained(t *testing.T) {
 	}
 }
 
+// TestFirstFitResultFailureState checks the failure state FirstFitResult
+// reports: the task no machine admits and every later one in density
+// order unplaced, FailedTask the first of them, and loads summed in
+// density order up to the failure.
+func TestFirstFitResultFailureState(t *testing.T) {
+	s := Set{
+		{Name: "light", WCET: 1, Deadline: 10, Period: 10}, // density 0.1, placed last
+		{Name: "d1", WCET: 3, Deadline: 3, Period: 10},     // density 1, ties broken by deadline
+		{Name: "d2", WCET: 2, Deadline: 2, Period: 10},
+		{Name: "half", WCET: 2, Deadline: 4, Period: 10}, // density 0.5: fits nowhere
+	}
+	res, err := FirstFitResult(s, machine.New(1), 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Feasible || res.FailedTask != 1 || fmt.Sprint(res.Assignment) != "[-1 -1 0 -1]" {
+		t.Fatalf("result %+v, want d2 placed, d1 failed, the rest unplaced", res)
+	}
+	if want := 0.2; res.Loads[0] != want {
+		t.Fatalf("loads %v, want [%v]", res.Loads, want)
+	}
+	// Loads fold in density order, not input order: 0.3+0.2+0.1 is 0.6,
+	// while 0.1+0.2+0.3 rounds to 0.6000000000000001.
+	s = Set{{WCET: 1, Deadline: 10, Period: 10}, {WCET: 2, Deadline: 10, Period: 10}, {WCET: 3, Deadline: 10, Period: 10}}
+	if res, err = FirstFitResult(s, machine.New(1), 1, 0); err != nil || !res.Feasible || res.Loads[0] != 0.6 {
+		t.Fatalf("result %+v (%v), want feasible with load 0.6", res, err)
+	}
+	ok, as, err := FirstFit(s, machine.New(1), 1, 0)
+	if !ok || err != nil || fmt.Sprint(as) != fmt.Sprint(res.Assignment) {
+		t.Fatalf("FirstFit = %v %v %v, want FirstFitResult's verdict and assignment", ok, as, err)
+	}
+}
+
 func TestFirstFitApproxNeverBeatsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(149))
 	for trial := 0; trial < 150; trial++ {
